@@ -37,6 +37,7 @@ from .protocols import (
     TABLE1_CORRECTIONS,
     TABLE2_CORRECTIONS,
     BranchRecord,
+    CompiledProtocol,
     DegenerateChannelError,
     MStrategy,
     ProtocolRun,
@@ -46,6 +47,7 @@ from .protocols import (
     apply_bitflip_and_recover,
     bob_bit_withheld_state,
     choose_m,
+    compile_protocol,
     nparty_bell_targets,
     run_nparty_bell,
     run_nparty_ghz,
@@ -67,12 +69,10 @@ from .states import (
     InputQubit,
     PureState,
     SingleQubitUnitary,
-    ZeroNormError,
     apply_unitary,
     basis_ket,
     fidelity,
     inner_product,
-    normalize,
     tensor,
 )
 

@@ -8,6 +8,7 @@ serialised runs can be keyed on them.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,19 +51,10 @@ class BasisSet:
 
 
 def _weight_norm(m: complex) -> float:
-    return 1.0 / math.sqrt(1.0 + abs(m) ** 2)
-
-
-@lru_cache(maxsize=256)
-def _bell_basis(m: complex) -> BasisSet:
-    f = _weight_norm(m)
-    mc = m.conjugate()
-    vecs = np.zeros((4, 4), dtype=np.complex128)
-    vecs[0, 0], vecs[0, 3] = f, f * m        # |00> + m|11>
-    vecs[1, 0], vecs[1, 3] = f * mc, -f      # m*|00> - |11>
-    vecs[2, 1], vecs[2, 2] = f, f * m        # |01> + m|10>
-    vecs[3, 1], vecs[3, 2] = f * mc, -f      # m*|01> - |10>
-    return BasisSet(BELL_LABELS, tuple(PureState(2, v) for v in vecs), 2)
+    """1/sqrt(1 + |m|^2) without overflow; every weight passes through here."""
+    if not cmath.isfinite(m):
+        raise ValueError(f"weights must be finite, got {m!r}")
+    return 1.0 / math.hypot(1.0, m.real, m.imag)
 
 
 def generalized_bell_basis(m: complex | float) -> BasisSet:
@@ -72,7 +64,15 @@ def generalized_bell_basis(m: complex | float) -> BasisSet:
     PsiPlus = M(|01> + m|10>), PsiMinus = M(m*|01> - |10>),
     with M = 1/sqrt(1+|m|^2).  m = 1 gives the standard Bell basis.
     """
-    return _bell_basis(complex(m))
+    m = complex(m)
+    f = _weight_norm(m)
+    mc = m.conjugate()
+    vecs = np.zeros((4, 4), dtype=np.complex128)
+    vecs[0, 0], vecs[0, 3] = f, f * m        # |00> + m|11>
+    vecs[1, 0], vecs[1, 3] = f * mc, -f      # m*|00> - |11>
+    vecs[2, 1], vecs[2, 2] = f, f * m        # |01> + m|10>
+    vecs[3, 1], vecs[3, 2] = f * mc, -f      # m*|01> - |10>
+    return BasisSet(BELL_LABELS, tuple(PureState(2, v) for v in vecs), 2)
 
 
 def pair_anchors(num_qubits: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
@@ -104,7 +104,6 @@ def pair_labels(num_qubits: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-@lru_cache(maxsize=128)
 def _pair_basis(num_qubits: int, m: complex) -> BasisSet:
     f = _weight_norm(m)
     mc = m.conjugate()
@@ -149,7 +148,6 @@ def x_basis() -> BasisSet:
     return BasisSet(X_LABELS, (PureState(1, [s, s]), PureState(1, [s, -s])), 1)
 
 
-@lru_cache(maxsize=256)
 def _channel_ghz(n: complex, num_qubits: int) -> PureState:
     f = _weight_norm(n)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)

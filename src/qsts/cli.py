@@ -11,6 +11,8 @@ Exit codes: 0 success, 2 invalid arguments, 3 degenerate strategy,
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import os
 import sys
 from typing import Sequence
@@ -55,7 +57,7 @@ def _format_float(value: float) -> str:
 
 
 def render_json(obj, indent: int = 0) -> str:
-    """Minimal JSON writer with 17-significant-digit floats."""
+    """Minimal JSON writer with 17-significant-digit floats; rejects NaN and inf."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -65,6 +67,8 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialise the non-finite number {obj!r} as JSON")
         return _format_float(obj)
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
@@ -109,9 +113,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _parse_complex(text: str, flag: str) -> complex:
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError:
         raise CliError(f"{flag} expects a number, got {text!r}") from None
+    if not cmath.isfinite(value):
+        raise CliError(f"{flag} expects a finite number, got {text!r}")
+    return value
 
 
 def _parse_input(text: str, default_seed: int) -> InputQubit:
@@ -155,9 +162,7 @@ def _channel_params(args) -> dict:
 def _resolve_m(m_text: str, channel: dict) -> complex:
     if m_text.startswith("strategy:"):
         name = m_text.split(":", 1)[1]
-        if "n" in channel and "parties" not in channel:
-            return choose_m(name, n=channel["n"])
-        if "parties" in channel:
+        if "n" in channel:
             return choose_m(name, n=channel["n"])
         if "ns" in channel:
             return choose_m(name, ns=channel["ns"])

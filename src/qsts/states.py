@@ -15,14 +15,7 @@ import numpy as np
 
 NORM_ATOL = 1e-10          # unit-norm tolerance on constructed states
 UNITARY_ATOL = 1e-12       # entrywise tolerance for U†U = I
-ZERO_NORM_THRESHOLD = 1e-14  # below this 2-norm a vector is a dead branch
-
-
-class ZeroNormError(ValueError):
-    """Normalisation was requested for a numerically zero vector.
-
-    Signals a zero-probability branch rather than a programming error.
-    """
+ZERO_NORM_THRESHOLD = 1e-14  # joint-branch probability below which a branch is dead
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,19 +159,3 @@ def apply_unitary(state: PureState, gate: SingleQubitUnitary, target: int) -> Pu
     psi = state.amplitudes.reshape((2,) * k)
     psi = np.moveaxis(np.tensordot(gate.matrix, psi, axes=([1], [target])), 0, target)
     return _fresh_state(k, np.ascontiguousarray(psi).reshape(-1))
-
-
-def normalize(amplitudes: Sequence[complex] | np.ndarray) -> tuple[PureState, float]:
-    """Scale an amplitude vector to unit norm; also return its original 2-norm.
-
-    Raises ZeroNormError below the dead-branch threshold so callers can
-    distinguish true zero-probability branches from roundoff.
-    """
-    vec = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    size = vec.shape[0]
-    if size < 2 or size & (size - 1):
-        raise ValueError(f"length must be a power of two >= 2, got {size}")
-    norm = float(np.linalg.norm(vec))
-    if norm <= ZERO_NORM_THRESHOLD:
-        raise ZeroNormError("cannot normalise a zero-probability branch")
-    return _fresh_state(size.bit_length() - 1, vec / norm), norm

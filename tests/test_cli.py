@@ -77,6 +77,43 @@ def test_invalid_arguments_exit_code():
     assert result.returncode == 2
 
 
+def test_run_huge_weight_is_strict_json():
+    result = invoke("run", "--protocol", "p1", "--n", "1e155", "--m", "0.5")
+    assert result.returncode == 0, result.stderr
+
+    def reject(constant):
+        raise ValueError(f"non-finite {constant}")
+
+    doc = json.loads(result.stdout, parse_constant=reject)
+    assert sum(b["probability"] for b in doc["branches"]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("efficiency", "--protocol", "p1", "--n", "0.5", "--m", "inf", "--analytic-only"),
+        ("efficiency", "--protocol", "p2", "--n1", "nan", "--n2", "0.5", "--m", "0.5",
+         "--analytic-only"),
+        ("run", "--protocol", "nparty-bell", "--n-list", "0.5,-inf", "--m", "0.5"),
+    ],
+    ids=("m-inf", "n1-nan", "n-list-inf"),
+)
+def test_non_finite_weights_exit_2_without_output(args):
+    result = invoke(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "finite" in result.stderr
+
+
+def test_render_json_refuses_non_finite_floats():
+    from qsts.cli import render_json
+
+    assert render_json({"x": 0.5}) == '{\n  "x": 0.5\n}'
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            render_json({"analytic": bad})
+
+
 # ── verify-tables ────────────────────────────────────────────────────────
 
 def test_verify_tables_passes_by_default():

@@ -15,13 +15,11 @@ from qsts import (
     InputQubit,
     PureState,
     SingleQubitUnitary,
-    ZeroNormError,
     apply_unitary,
     basis_ket,
     channel_ghz,
     fidelity,
     inner_product,
-    normalize,
     tensor,
     x_basis,
 )
@@ -195,21 +193,3 @@ def test_pauli_involution(rng):
 def test_apply_unitary_target_out_of_range():
     with pytest.raises(ValueError):
         apply_unitary(basis_ket(2, [0, 0]), SIGMA_X, 2)
-
-
-# ── normalize ────────────────────────────────────────────────────────────
-
-def test_normalize_returns_original_norm():
-    state, norm = normalize([3.0, 4.0])
-    assert norm == pytest.approx(5.0)
-    np.testing.assert_allclose(state.amplitudes, [0.6, 0.8])
-
-
-def test_normalize_rejects_zero_vector():
-    with pytest.raises(ZeroNormError):
-        normalize([0.0, 1e-16])
-
-
-def test_normalize_rejects_bad_length():
-    with pytest.raises(ValueError):
-        normalize([1.0, 0.0, 0.0])
