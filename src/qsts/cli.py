@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -297,12 +296,7 @@ def _cmd_efficiency(args) -> int:
             raise CliError("no closed form for this protocol/parameter combination")
         _emit(render_json({"analytic": analytic}), args.out)
         return EXIT_OK
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("QSTS_THREADS", "1"))
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    report = cpro_monte_carlo(args.protocol, params, args.samples, args.seed, threads)
+    report = cpro_monte_carlo(args.protocol, params, args.samples, args.seed)
     doc: dict = {}
     if report.analytic is not None:
         doc["analytic"] = report.analytic
@@ -407,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eff.add_argument("--samples", type=int, default=10000)
     p_eff.add_argument("--seed", type=int, default=0)
     p_eff.add_argument("--threads", type=int,
-                       help="sampler threads (default QSTS_THREADS or 1; 0 = auto)")
+                       help="accepted and ignored: the estimator runs in one thread")
     p_eff.add_argument("--analytic-only", action="store_true",
                        help="emit the closed form only, skip sampling")
     p_eff.add_argument("--out", help="output path (default stdout)")

@@ -2,27 +2,25 @@
 
 The efficiency of a protocol is the average qubit transmission rate
 sum_j <P_j F_j>, the expectation taken over Bloch-uniform inputs.  For real
-weights it has the closed forms implemented here; the Monte-Carlo estimator
-computes the inner sum exactly per sampled input (all branches enumerated),
-so sampling noise comes only from the input average.
+weights it has the closed forms implemented here.  The Monte-Carlo estimator
+computes the inner sum exactly per sampled input: with K_j = C_j M_j the
+compiled branch operators, sum_j P_j F_j = sum_j |<psi|K_j|psi>|^2, one
+fixed quartic form in psi, so sampling noise comes only from the input
+average.  Its ``threads`` argument is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .protocols import (
-    ProtocolRun,
-    run_nparty_bell,
-    run_nparty_ghz,
-    run_protocol1,
-    run_protocol2,
-)
+from .protocols import ProtocolRun, compile_params
+# The runners are no longer called here; they stay bound because
+# perfbench/spans.py patches each layer at the names its callers bind.
+from .protocols import run_nparty_bell, run_nparty_ghz, run_protocol1, run_protocol2  # noqa: F401
 from .states import InputQubit
 
 
@@ -42,10 +40,14 @@ class EfficiencyReport:
     seed: int
 
 
+def _signed_concurrence(x: float) -> float:
+    # 2x/(1+x^2), with no overflow of x^2: equal to 2/(x + 1/x) for |x| > 1
+    return 2.0 / (x + 1.0 / x) if abs(x) > 1.0 else 2.0 * x / (1.0 + x * x)
+
+
 def concurrence(m: float) -> float:
     """Pairwise entanglement 2|m|/(1+|m|^2) of the weight-m two-qubit states."""
-    m = float(m)
-    return 2.0 * abs(m) / (1.0 + m * m)
+    return abs(_signed_concurrence(float(m)))
 
 
 def _sorted_product(*factors: float) -> float:
@@ -63,20 +65,19 @@ def cpro1_analytic(n: float, m: float) -> float:
     (2/3)(1 + 2mn/((1+m^2)(1+n^2))) = (2/3)(1 + c(m)c(n)/2); equals 1 only
     at m = n = 1.
     """
-    n, m = float(n), float(m)
-    return (2.0 / 3.0) * (1.0 + _sorted_product(2.0, m, n) / ((1.0 + m * m) * (1.0 + n * n)))
+    c = _sorted_product(_signed_concurrence(float(n)), _signed_concurrence(float(m)))
+    return (2.0 / 3.0) * (1.0 + c / 2.0)
 
 
 def cpro2_analytic(n1: float, n2: float, m: float) -> float:
     """Average transmission rate of the two-Bell-channel protocol, real weights.
 
-    (2/3)(1 + 4 m n1 n2 / ((1+m^2)(1+n1^2)(1+n2^2))); invariant under any
-    permutation of (m, n1, n2) and equal to 1 only at m = n1 = n2 = 1.
+    (2/3)(1 + 4 m n1 n2 / ((1+m^2)(1+n1^2)(1+n2^2))) = (2/3)(1 + c(m)c(n1)c(n2)/2);
+    invariant under any permutation of (m, n1, n2) and equal to 1 only at
+    m = n1 = n2 = 1.
     """
-    n1, n2, m = float(n1), float(n2), float(m)
-    num = _sorted_product(4.0, m, n1, n2)
-    den = _sorted_product(1.0 + m * m, 1.0 + n1 * n1, 1.0 + n2 * n2)
-    return (2.0 / 3.0) * (1.0 + num / den)
+    c = _sorted_product(*(_signed_concurrence(float(x)) for x in (n1, n2, m)))
+    return (2.0 / 3.0) * (1.0 + c / 2.0)
 
 
 def haar_sample(rng: np.random.Generator) -> InputQubit:
@@ -98,24 +99,6 @@ def haar_sample(rng: np.random.Generator) -> InputQubit:
 def transmission_sum(run: ProtocolRun) -> float:
     """Exact sum of branch probability times fidelity for one run."""
     return sum(b.probability * b.fidelity for b in run.branches)
-
-
-def _make_runner(protocol: str, params: Mapping) -> Callable[[InputQubit], ProtocolRun]:
-    if protocol == "p1":
-        n, m = params["n"], params["m"]
-        return lambda q: run_protocol1(q, n, m)
-    if protocol == "p2":
-        n1, n2, m = params["n1"], params["n2"], params["m"]
-        return lambda q: run_protocol2(q, n1, n2, m)
-    if protocol == "nparty-ghz":
-        parties, n, m = params["parties"], params["n"], params["m"]
-        receiver = params.get("receiver_index")
-        return lambda q: run_nparty_ghz(q, parties, n, m, receiver)
-    if protocol == "nparty-bell":
-        ns, m = params["ns"], params["m"]
-        receiver = params.get("receiver_index")
-        return lambda q: run_nparty_bell(q, ns, m, receiver)
-    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 def analytic_rate(protocol: str, params: Mapping) -> float | None:
@@ -148,30 +131,24 @@ def cpro_monte_carlo(
 ) -> EfficiencyReport:
     """Average the exact per-input transmission sum over Haar-random inputs.
 
-    ``params`` holds the runner arguments: {n, m} for "p1", {n1, n2, m} for
-    "p2", {parties, n, m} for "nparty-ghz", {ns, m} for "nparty-bell".  Each
-    sample gets its own generator spawned from the master seed and writes
-    into a fixed slot, so the report is identical for any thread count.
+    ``params`` holds the runner arguments, validated as the runners validate
+    them (``compile_params``): {n, m} for "p1", {n1, n2, m} for "p2",
+    {parties, n, m} for "nparty-ghz", {ns, m} for "nparty-bell", with an
+    optional ``receiver`` or ``receiver_index``.  Each sample's input comes
+    from its own generator spawned from the master seed.  Every sample's
+    sum_j |<psi|K_j|psi>|^2 is then <v|T|v> with v = psi (x) conj(psi) and
+    the 4x4 matrix T = sum_j K_j (x) conj(K_j).  ``threads`` is ignored.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    run_fn = _make_runner(protocol, params)
-    children = np.random.SeedSequence(seed).spawn(samples)
-    values = np.empty(samples, dtype=float)
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            qubit = haar_sample(np.random.default_rng(children[i]))
-            values[i] = transmission_sum(run_fn(qubit))
-
-    threads = max(1, int(threads))
-    if threads == 1 or samples < 2 * threads:
-        fill(0, samples)
-    else:
-        bounds = np.linspace(0, samples, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: fill(*span), zip(bounds[:-1], bounds[1:])))
-
+    compiled, _, _ = compile_params(protocol, params)
+    kraus = compiled.operators[1]
+    transfer = np.einsum("jab,jcd->acbd", kraus, kraus.conj()).reshape(4, 4)
+    inputs = [haar_sample(np.random.default_rng(child))
+              for child in np.random.SeedSequence(seed).spawn(samples)]
+    psi = np.array([(q.alpha, q.beta) for q in inputs])
+    v = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(samples, 4)
+    values = np.einsum("si,ij,sj->s", v.conj(), transfer, v).real
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return EfficiencyReport(analytic_rate(protocol, params), estimate, samples,

@@ -340,7 +340,7 @@ def compile_protocol(
     ``weights`` is (n,) for the GHZ-type channel of "p1" and "nparty-ghz",
     and one weight per party for the Bell-type channels of "p2" and
     "nparty-bell".  Parties are 1..num_parties-1; ``receiver`` receives and
-    the others help.  The runners validate the arguments.
+    the others help.  ``compile_params`` validates the arguments.
     """
     alice_labels, helper_labels, corrections, bits, matrices = _layout(
         protocol, num_parties, receiver)
@@ -370,6 +370,52 @@ def compile_protocol(
     return CompiledProtocol(alice_labels, helper_labels, corrections, bits, operators)
 
 
+def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, dict, str]:
+    """Validate a runner parameter set and compile it.
+
+    ``params`` holds a runner's arguments by name: {n, m} for "p1", {n1, n2,
+    m} for "p2", {parties, n, m} for "nparty-ghz" and {ns, m} for
+    "nparty-bell", plus an optional ``receiver`` ("bob" or "charlie", default
+    charlie) for the first two and ``receiver_index`` (1..N-1, default N-1)
+    for the others.  Every runner and the Monte-Carlo estimator validate
+    through here.  Returns the instrument, the weights as ``ProtocolRun``
+    records them, and the receiver's name.
+    """
+    m = complex(params["m"])
+    if protocol in ("p1", "p2"):
+        receiver = Receiver(params.get("receiver", Receiver.CHARLIE))
+        if protocol == "p1":
+            n = complex(params["n"])
+            compiled = compile_protocol("p1", (n,), m, 3,
+                                        2 if receiver is Receiver.CHARLIE else 1)
+            return compiled, {"n": n, "m": m}, receiver.value
+        # a Bob receiver swaps the (channel, party) pairs
+        n1, n2 = complex(params["n1"]), complex(params["n2"])
+        weights = (n1, n2) if receiver is Receiver.CHARLIE else (n2, n1)
+        compiled = compile_protocol("p2", weights, m, 3, 2)
+        return compiled, {"n1": n1, "n2": n2, "m": m}, receiver.value
+
+    if protocol == "nparty-ghz":
+        num_parties = int(params["parties"])
+        if not 3 <= num_parties <= 10:
+            raise ValueError("num_parties must be between 3 and 10")
+        weights = (complex(params["n"]),)
+        run_params = {"n": weights[0], "m": m, "parties": num_parties}
+    elif protocol == "nparty-bell":
+        weights = tuple(complex(x) for x in params["ns"])
+        num_parties = len(weights) + 1
+        if not 3 <= num_parties <= 6:
+            raise ValueError("need 2..5 channel weights (3..6 parties)")
+        run_params = {"ns": weights, "m": m}
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    index = params.get("receiver_index")
+    r = num_parties - 1 if index is None else int(index)
+    if not 1 <= r <= num_parties - 1:
+        raise ValueError(f"receiver_index {r} out of range for {num_parties} parties")
+    return compile_protocol(protocol, weights, m, num_parties, r), run_params, f"party{r}"
+
+
 def _branches(compiled: CompiledProtocol, source: InputQubit) -> tuple[BranchRecord, ...]:
     """Apply the instrument to the input: every branch from one batched product."""
     psi = np.array((source.alpha, source.beta))
@@ -394,6 +440,11 @@ def _branches(compiled: CompiledProtocol, source: InputQubit) -> tuple[BranchRec
 
 # ── runners ──────────────────────────────────────────────────────────────
 
+def _run(protocol: str, source: InputQubit, params: Mapping) -> ProtocolRun:
+    compiled, run_params, receiver = compile_params(protocol, params)
+    return ProtocolRun(protocol, source, run_params, receiver, _branches(compiled, source))
+
+
 def run_protocol1(
     source: InputQubit,
     n: complex | float,
@@ -408,11 +459,7 @@ def run_protocol1(
     is symmetric in Bob and Charlie, so choosing Bob as receiver simply makes
     Charlie the helper.
     """
-    n, m = complex(n), complex(m)
-    receiver = Receiver(receiver)
-    compiled = compile_protocol("p1", (n,), m, 3, 2 if receiver is Receiver.CHARLIE else 1)
-    return ProtocolRun("p1", source, {"n": n, "m": m}, receiver.value,
-                       _branches(compiled, source))
+    return _run("p1", source, {"n": n, "m": m, "receiver": receiver})
 
 
 def run_protocol2(
@@ -429,12 +476,7 @@ def run_protocol2(
     (input, helper channel, receiver channel); a Bob receiver is handled by
     swapping the (channel, party) pairs, which leaves the pipeline identical.
     """
-    n1, n2, m = complex(n1), complex(n2), complex(m)
-    receiver = Receiver(receiver)
-    weights = (n1, n2) if receiver is Receiver.CHARLIE else (n2, n1)
-    compiled = compile_protocol("p2", weights, m, 3, 2)
-    return ProtocolRun("p2", source, {"n1": n1, "n2": n2, "m": m},
-                       receiver.value, _branches(compiled, source))
+    return _run("p2", source, {"n1": n1, "n2": n2, "m": m, "receiver": receiver})
 
 
 def run_nparty_ghz(
@@ -450,16 +492,8 @@ def run_nparty_ghz(
     receiver's correction is the base table entry at the parity of the
     helpers' XMinus outcomes.  Reduces to ``run_protocol1`` at N = 3.
     """
-    if not 3 <= num_parties <= 10:
-        raise ValueError("num_parties must be between 3 and 10")
-    r = num_parties - 1 if receiver_index is None else int(receiver_index)
-    if not 1 <= r <= num_parties - 1:
-        raise ValueError(f"receiver_index {r} out of range for {num_parties} parties")
-    n, m = complex(n), complex(m)
-    compiled = compile_protocol("nparty-ghz", (n,), m, num_parties, r)
-    return ProtocolRun("nparty-ghz", source,
-                       {"n": n, "m": m, "parties": num_parties},
-                       f"party{r}", _branches(compiled, source))
+    return _run("nparty-ghz", source, {"parties": num_parties, "n": n, "m": m,
+                                       "receiver_index": receiver_index})
 
 
 def run_nparty_bell(
@@ -476,17 +510,7 @@ def run_nparty_bell(
     anchor bit differs from the receiver's, a sign flip at odd helper parity
     xor a minus-family outcome.  Reduces to ``run_protocol2`` at N = 3.
     """
-    weights = tuple(complex(x) for x in ns)
-    num_parties = len(weights) + 1
-    if not 3 <= num_parties <= 6:
-        raise ValueError("need 2..5 channel weights (3..6 parties)")
-    r = num_parties - 1 if receiver_index is None else int(receiver_index)
-    if not 1 <= r <= num_parties - 1:
-        raise ValueError(f"receiver_index {r} out of range for {num_parties} parties")
-    m = complex(m)
-    compiled = compile_protocol("nparty-bell", weights, m, num_parties, r)
-    return ProtocolRun("nparty-bell", source, {"ns": weights, "m": m},
-                       f"party{r}", _branches(compiled, source))
+    return _run("nparty-bell", source, {"ns": ns, "m": m, "receiver_index": receiver_index})
 
 
 # ── verification against the frozen outcome tables ──────────────────────

@@ -29,3 +29,15 @@ def assert_run_matches_oracle(run, oracle_rows, atol: float = 1e-12) -> None:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+def exact_haar_rate(compiled) -> float:
+    """Haar average of sum_j P_j F_j over Bloch-uniform inputs.
+
+    For branch operators K_j = C_j M_j it is sum_j (|tr K_j|^2 + tr K_j^dagger
+    K_j)/6, the average-fidelity identity of Horodecki et al., PRA 60, 1888
+    (1999).
+    """
+    kraus = compiled.operators[1]
+    traces = np.trace(kraus, axis1=1, axis2=2)
+    return float((np.sum(np.abs(traces) ** 2) + np.sum(np.abs(kraus) ** 2)) / 6.0)

@@ -1,6 +1,7 @@
 """CLI subcommands: output schema, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -166,6 +167,27 @@ def test_efficiency_complex_weight_omits_analytic():
                     "--samples", "50", "--seed", "2")
     doc = json.loads(result.stdout)
     assert "analytic" not in doc
+
+
+@pytest.mark.parametrize("weight", ["1e155", "1e300", "-1e308", "1e-300"])
+def test_efficiency_analytic_only_at_extreme_weights(weight):
+    # the "--flag=value" form lets argparse take "-1e308" as a value
+    for args in (("--protocol", "p1", f"--n={weight}", f"--m={weight}"),
+                 ("--protocol", "p2", f"--n1={weight}", "--n2", "0.5", f"--m={weight}")):
+        result = invoke("efficiency", *args, "--analytic-only")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"analytic": pytest.approx(2 / 3, abs=1e-15)}
+
+
+def test_efficiency_threads_accepted_and_ignored():
+    args = ("efficiency", "--protocol", "p1", "--n", "0.4", "--m", "0.8",
+            "--samples", "60", "--seed", "4")
+    plain = invoke(*args)
+    threaded = invoke(*args, "--threads", "3")
+    # QSTS_THREADS is not read, so even an unparsable value changes nothing
+    env = invoke(*args, env={**os.environ, "QSTS_THREADS": "many"})
+    assert plain.returncode == threaded.returncode == env.returncode == 0
+    assert plain.stdout == threaded.stdout == env.stdout
 
 
 # ── sweep ────────────────────────────────────────────────────────────────

@@ -6,17 +6,24 @@ import math
 import numpy as np
 import pytest
 
+from conftest import exact_haar_rate
 from qsts import (
     choose_m,
     compare_protocols,
+    compile_protocol,
     concurrence,
     cpro1_analytic,
     cpro2_analytic,
     cpro_monte_carlo,
     haar_sample,
+    run_nparty_bell,
+    run_nparty_ghz,
     run_protocol1,
+    run_protocol2,
     transmission_sum,
 )
+
+EXTREME_WEIGHTS = (1e155, 1e300, -1e308, 1e-300)
 
 
 # ── concurrence and closed forms ─────────────────────────────────────────
@@ -69,6 +76,36 @@ def test_cpro_range(rng):
         n, m, n2 = rng.uniform(0.0, 1.0, size=3)
         assert 2 / 3 - 1e-12 <= cpro1_analytic(n, m) <= 1 + 1e-12
         assert 2 / 3 - 1e-12 <= cpro2_analytic(n, n2, m) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("x", EXTREME_WEIGHTS)
+def test_concurrence_is_overflow_safe(x):
+    expected = 2.0 / abs(x) if abs(x) > 1.0 else 2.0 * abs(x)
+    assert concurrence(x) == pytest.approx(expected, rel=1e-15)
+    assert concurrence(x) == concurrence(-x)
+
+
+@pytest.mark.parametrize("x", EXTREME_WEIGHTS)
+def test_closed_forms_finite_at_extreme_weights(x):
+    # c(x) is below 1e-154 at every extreme weight, so each rate is 2/3 to
+    # double precision; the squared weight used to overflow to NaN
+    for rate in (cpro1_analytic(x, x), cpro1_analytic(x, 0.5), cpro1_analytic(0.5, x),
+                 cpro2_analytic(x, x, x), cpro2_analytic(x, 0.5, 1.0),
+                 cpro2_analytic(1.0, 0.5, x)):
+        assert rate == pytest.approx(2 / 3, abs=1e-15)
+    # and the engine's exact Haar rate at the same weights agrees
+    p1 = compile_protocol("p1", (complex(x),), complex(0.5), 3, 2)
+    assert exact_haar_rate(p1) == pytest.approx(cpro1_analytic(x, 0.5), abs=1e-14)
+    p2 = compile_protocol("p2", (complex(x), complex(0.5)), complex(0.8), 3, 2)
+    assert exact_haar_rate(p2) == pytest.approx(cpro2_analytic(x, 0.5, 0.8), abs=1e-14)
+
+
+def test_closed_forms_symmetric_under_inverse_weight(rng):
+    # c(x) = c(1/x): the |x| > 1 branch of the overflow-safe form meets the other
+    for x in rng.uniform(1.0, 50.0, size=20):
+        assert cpro1_analytic(x, 0.7) == pytest.approx(cpro1_analytic(1 / x, 0.7), abs=1e-15)
+        assert cpro2_analytic(0.4, x, -x) == pytest.approx(
+            cpro2_analytic(0.4, 1 / x, -1 / x), abs=1e-15)
 
 
 # ── Haar sampling ────────────────────────────────────────────────────────
@@ -146,6 +183,176 @@ def test_mc_rejects_bad_sample_count():
         cpro_monte_carlo("p1", {"n": 1, "m": 1}, 0, 1)
     with pytest.raises(ValueError):
         cpro_monte_carlo("p9", {"n": 1, "m": 1}, 10, 1)
+
+
+# ── the batched estimator against the per-sample runner loop ──────────────
+
+MC_WEIGHT_CASES = {
+    "real": (0.45, 0.8, 1.3),
+    "complex": (0.5 + 0.3j, 0.9j, 0.7 - 0.4j),
+    "zero": (0.0, 0.6, 0.0),
+    "tiny": (1e-300, 0.6, -1e-300),
+    "huge": (1e155, 0.6, -1e300),
+}
+
+
+def _runner(protocol, params):
+    """The runner call the estimator's parameter set stands for."""
+    if protocol == "p1":
+        return lambda q: run_protocol1(q, params["n"], params["m"],
+                                       params.get("receiver", "charlie"))
+    if protocol == "p2":
+        return lambda q: run_protocol2(q, params["n1"], params["n2"], params["m"],
+                                       params.get("receiver", "charlie"))
+    if protocol == "nparty-ghz":
+        return lambda q: run_nparty_ghz(q, params["parties"], params["n"], params["m"],
+                                        params.get("receiver_index"))
+    return lambda q: run_nparty_bell(q, params["ns"], params["m"],
+                                     params.get("receiver_index"))
+
+
+def _reference_mc(protocol, params, samples, seed):
+    """The estimator as a loop: one runner call and transmission_sum per sample."""
+    run = _runner(protocol, params)
+    children = np.random.SeedSequence(seed).spawn(samples)
+    values = np.empty(samples, dtype=float)
+    for i, child in enumerate(children):
+        values[i] = transmission_sum(run(haar_sample(np.random.default_rng(child))))
+    std_error = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return float(values.mean()), std_error
+
+
+def _mc_cases(a, b, c):
+    """(protocol, params) for every protocol and receiver at weights a, b, c."""
+    cases = []
+    for receiver in ("charlie", "bob"):
+        cases.append(("p1", {"n": a, "m": b, "receiver": receiver}))
+        cases.append(("p2", {"n1": a, "n2": c, "m": b, "receiver": receiver}))
+    for parties in (3, 4):
+        for r in range(1, parties):
+            cases.append(("nparty-ghz", {"parties": parties, "n": a, "m": b,
+                                         "receiver_index": r}))
+    for ns in ((a, c), (a, b, c)):
+        for r in range(1, len(ns) + 1):
+            cases.append(("nparty-bell", {"ns": ns, "m": b, "receiver_index": r}))
+    return cases
+
+
+@pytest.mark.parametrize("weights", MC_WEIGHT_CASES.values(), ids=MC_WEIGHT_CASES.keys())
+def test_batched_mc_equals_per_sample_runner_loop(weights):
+    for protocol, params in _mc_cases(*weights):
+        for samples, seed in ((48, 1234), (1, 5)):
+            report = cpro_monte_carlo(protocol, params, samples, seed)
+            estimate, std_error = _reference_mc(protocol, params, samples, seed)
+            assert abs(report.estimate - estimate) <= 1e-14, (protocol, params)
+            assert abs(report.std_error - std_error) <= 1e-14, (protocol, params)
+
+
+def test_mc_honours_the_receiver():
+    params = {"n1": 0.5 + 0.3j, "n2": 0.8, "m": 0.6 - 0.2j}
+    bob = cpro_monte_carlo("p2", {**params, "receiver": "bob"}, 200, 5)
+    charlie = cpro_monte_carlo("p2", params, 200, 5)
+    assert abs(bob.estimate - charlie.estimate) > 1e-3
+    assert abs(bob.estimate - _reference_mc("p2", {**params, "receiver": "bob"}, 200, 5)[0]) <= 1e-14
+    # the many-party rate does not depend on the receiver, so check that the
+    # receiver's instrument is the one compiled
+    compile_protocol.cache_clear()
+    cpro_monte_carlo("nparty-ghz", {"parties": 4, "n": 0.5, "m": 0.7, "receiver_index": 1}, 10, 3)
+    compile_protocol("nparty-ghz", (0.5,), 0.7, 4, 1)
+    assert compile_protocol.cache_info().hits == 1
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "protocol, params",
+    [
+        ("nparty-ghz", {"parties": 2, "n": 0.5, "m": 0.5}),
+        ("nparty-ghz", {"parties": 11, "n": 0.5, "m": 0.5}),
+        ("nparty-ghz", {"parties": 4, "n": 0.5, "m": 0.5, "receiver_index": 0}),
+        ("nparty-ghz", {"parties": 4, "n": 0.5, "m": 0.5, "receiver_index": 4}),
+        ("nparty-bell", {"ns": (0.5, 0.4, 0.8), "m": 0.5, "receiver_index": 0}),
+        ("nparty-bell", {"ns": (0.5, 0.4, 0.8), "m": 0.5, "receiver_index": 4}),
+        ("nparty-bell", {"ns": (0.5,), "m": 0.5}),
+        ("nparty-bell", {"ns": (0.5,) * 6, "m": 0.5}),
+        ("p1", {"n": _NAN, "m": 0.5}),
+        ("p1", {"n": 0.5, "m": _INF}),
+        ("p2", {"n1": 0.5, "n2": complex(0.0, _INF), "m": 0.5}),
+        ("nparty-ghz", {"parties": 4, "n": -_INF, "m": 0.5}),
+        ("nparty-bell", {"ns": (0.5, _NAN), "m": 0.5}),
+    ],
+)
+def test_mc_rejects_exactly_what_the_runners_reject(protocol, params):
+    with pytest.raises(ValueError):
+        _runner(protocol, params)(haar_sample(np.random.default_rng(0)))
+    with pytest.raises(ValueError):
+        cpro_monte_carlo(protocol, params, 10, 1)
+
+
+# ── the exact Haar rate as an oracle ─────────────────────────────────────
+
+def _c(x):
+    return 2 * x / (1 + x * x)
+
+
+def test_exact_rate_equals_closed_forms(rng):
+    for _ in range(200):
+        n, m, n2 = rng.uniform(-3.0, 3.0, size=3)
+        for r in (1, 2):
+            p1 = compile_protocol("p1", (complex(n),), complex(m), 3, r)
+            assert abs(exact_haar_rate(p1) - cpro1_analytic(n, m)) <= 1e-14
+        p2 = compile_protocol("p2", (complex(n), complex(n2)), complex(m), 3, 2)
+        assert abs(exact_haar_rate(p2) - cpro2_analytic(n, n2, m)) <= 1e-14
+
+
+def test_exact_rate_of_nparty_ghz_is_the_p1_form(rng):
+    for parties in range(3, 11):
+        n, m = rng.uniform(-3.0, 3.0, size=2)
+        for r in range(1, parties):
+            compiled = compile_protocol("nparty-ghz", (complex(n),), complex(m), parties, r)
+            assert abs(exact_haar_rate(compiled) - cpro1_analytic(n, m)) <= 1e-14
+
+
+def test_exact_rate_of_nparty_bell_is_the_product_form(rng):
+    for parties in range(3, 7):
+        ns = rng.uniform(-3.0, 3.0, size=parties - 1)
+        m = rng.uniform(-3.0, 3.0)
+        expected = (2 / 3) * (1 + _c(m) * np.prod([_c(x) for x in ns]) / 2)
+        for r in range(1, parties):
+            compiled = compile_protocol("nparty-bell", tuple(map(complex, ns)),
+                                        complex(m), parties, r)
+            assert abs(exact_haar_rate(compiled) - expected) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "protocol, weights, m, parties",
+    [
+        ("p1", (0.5 + 0.3j,), 0.7 - 0.2j, 3),
+        ("p1", (0.9j,), 0.4, 3),
+        ("p2", (0.5j, 0.8), 0.3 + 0.3j, 3),
+        ("p2", (0.6, 0.4 - 0.4j), 0.5, 3),
+        ("nparty-ghz", (0.5,), 0.5, 4),
+        ("nparty-ghz", (0.3 + 0.2j,), 0.8, 5),
+        ("nparty-ghz", (0.7,), 0.4j, 6),
+        ("nparty-bell", (0.5, 0.3), 0.6, 3),
+        ("nparty-bell", (0.5, 0.4 + 0.1j, 0.8), 0.5, 4),
+        ("nparty-bell", (0.6, 0.6j, 0.6, 0.6), 0.8, 5),
+    ],
+)
+def test_seeded_mc_within_five_standard_errors_of_exact_rate(protocol, weights, m, parties):
+    if protocol == "p1":
+        params = {"n": weights[0], "m": m}
+    elif protocol == "p2":
+        params = {"n1": weights[0], "n2": weights[1], "m": m}
+    elif protocol == "nparty-ghz":
+        params = {"parties": parties, "n": weights[0], "m": m}
+    else:
+        params = {"ns": weights, "m": m}
+    exact = exact_haar_rate(compile_protocol(protocol, tuple(map(complex, weights)),
+                                             complex(m), parties, parties - 1))
+    report = cpro_monte_carlo(protocol, params, 4000, 77)
+    assert abs(report.estimate - exact) <= 5 * report.std_error
 
 
 def test_success_only_sum_reproduces_strategy_success_probability(rng):
