@@ -31,7 +31,7 @@ from .efficiency import (
     haar_sample,
     transmission_sum,
 )
-from .measurement import MeasurementOutcome, measure, sample
+from .measurement import MeasurementOutcome, measure
 from .protocols import (
     SUCCESS_FIDELITY,
     TABLE1_CORRECTIONS,
@@ -41,10 +41,8 @@ from .protocols import (
     DegenerateChannelError,
     MStrategy,
     ProtocolRun,
-    Receiver,
     STRATEGIES,
     TableRowCheck,
-    apply_bitflip_and_recover,
     bob_bit_withheld_state,
     choose_m,
     compile_protocol,

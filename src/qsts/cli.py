@@ -427,9 +427,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: Sequence[str]) -> list[str]:
+    """Join ``--flag -value`` into ``--flag=-value``.
+
+    argparse takes only ``-1``/``-0.5``-style tokens for values, so it would
+    read ``--n -1e308``, ``--n -0.5+0.3j`` or ``--n-list -0.5,0.3`` as two
+    options.  Every option here except ``-h`` is a ``--`` flag, so a token
+    with one leading dash can only be a value.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (token.startswith("-") and not token.startswith("--") and token != "-h"
+                and prev.startswith("--") and len(prev) > 2 and "=" not in prev):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except DegenerateChannelError as exc:

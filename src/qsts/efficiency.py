@@ -142,7 +142,7 @@ def cpro_monte_carlo(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     compiled, _, _ = compile_params(protocol, params)
-    kraus = compiled.operators[1]
+    kraus = compiled.operators
     transfer = np.einsum("jab,jcd->acbd", kraus, kraus.conj()).reshape(4, 4)
     inputs = [haar_sample(np.random.default_rng(child))
               for child in np.random.SeedSequence(seed).spawn(samples)]

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .bases import BasisSet
-from .states import NORM_ATOL, ZERO_NORM_THRESHOLD, PureState
+from .states import ZERO_NORM_THRESHOLD, PureState
 from .states import _fresh_state
 
 
@@ -61,23 +61,3 @@ def measure(state: PureState, targets: Sequence[int], basis: BasisSet) -> list[M
                 MeasurementOutcome(label, prob, _fresh_state(rest, residual / math.sqrt(prob)))
             )
     return outcomes
-
-
-def sample(outcomes: Sequence[MeasurementOutcome], rng: np.random.Generator) -> MeasurementOutcome:
-    """Draw one outcome with its stated probability.
-
-    Deterministic given the generator's state: exactly one uniform variate is
-    consumed per call.
-    """
-    if not outcomes:
-        raise ValueError("cannot sample from an empty outcome list")
-    total = sum(o.probability for o in outcomes)
-    if abs(total - 1.0) > NORM_ATOL:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    u = float(rng.random())
-    acc = 0.0
-    for outcome in outcomes:
-        acc += outcome.probability
-        if u < acc:
-            return outcome
-    return outcomes[-1]

@@ -16,8 +16,7 @@ receiver's corrected state and its fidelity with the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from operator import mul
@@ -31,14 +30,15 @@ from .bases import (
     channel_bell,
     channel_ghz,
     generalized_bell_basis,
-    generalized_ghz_basis,
+    generalized_ghz_basis,  # noqa: F401
     generalized_pair_basis,
     pair_anchors,
     pair_labels,
     x_basis,
 )
-# ``measure`` and ``tensor`` are no longer called here; they stay bound
-# because perfbench/spans.py patches each layer at the names its callers bind.
+# ``measure``, ``tensor``, ``fidelity`` and ``generalized_ghz_basis`` are no
+# longer called here; they stay bound because perfbench/spans.py patches each
+# layer at the names its callers bind.
 from .measurement import measure  # noqa: F401
 from .states import (
     IDENTITY,
@@ -52,7 +52,7 @@ from .states import (
     SingleQubitUnitary,
     _fresh_state,
     apply_unitary,
-    fidelity,
+    fidelity,  # noqa: F401
     tensor,  # noqa: F401
 )
 
@@ -62,11 +62,6 @@ SUCCESS_FIDELITY = 1.0 - 1e-9
 
 class DegenerateChannelError(ValueError):
     """An m-strategy rule would divide by a vanishing channel weight."""
-
-
-class Receiver(Enum):
-    BOB = "bob"
-    CHARLIE = "charlie"
 
 
 # Receiver corrections keyed on (Alice outcome, helper X outcome).  Matrix
@@ -115,11 +110,11 @@ _PAULI_BY_FLAGS = {
 class BranchRecord:
     """One joint outcome: labels, probability, and the receiver's final qubit.
 
-    ``precorrection_state`` is the receiver's qubit right after all
-    measurements, before the correction; both states are None on dead
-    branches, whose probability is below ``ZERO_NORM_THRESHOLD``.
-    ``classical_bits`` counts the classical communication needed to close
-    this branch.
+    ``receiver_state`` is the receiver's qubit after the correction, and
+    None on dead branches, whose probability is below
+    ``ZERO_NORM_THRESHOLD``.  The qubit before the correction is
+    ``correction.matrix.conj().T`` applied to it.  ``classical_bits`` counts
+    the classical communication needed to close this branch.
     """
 
     alice_label: str
@@ -128,7 +123,6 @@ class BranchRecord:
     receiver_state: PureState | None
     fidelity: float
     correction: SingleQubitUnitary
-    precorrection_state: PureState | None
     classical_bits: int
 
 
@@ -285,10 +279,12 @@ class CompiledProtocol:
 
     Branches run over Alice's outcomes in basis order, then over the
     helpers' X outcomes in party order, the first helper varying slowest.
-    ``operators[0, j]`` is the 2x2 operator M_j taking the input (alpha,
-    beta) to branch j's unnormalised receiver qubit before correction, and
-    ``operators[1, j]`` is C_j M_j, with C_j = ``corrections[j]``.  Branch j
-    occurs with probability |M_j psi|^2, and sum_j M_j^dagger M_j = I.
+    ``operators[j]`` is the 2x2 operator K_j = C_j M_j taking the input
+    (alpha, beta) to branch j's unnormalised corrected receiver qubit: M_j
+    is the measurement residue and C_j = ``corrections[j]`` a Pauli product
+    with entries 0 and +-1, so K_j is a signed row permutation of M_j.
+    Branch j occurs with probability |K_j psi|^2 (bitwise equal to
+    |M_j psi|^2), and sum_j K_j^dagger K_j = I.
     """
 
     alice_labels: tuple[str, ...]
@@ -349,8 +345,7 @@ def compile_protocol(
         # register (Alice's channel qubit, party 1, ..., party N-1)
         channel = channel_ghz(weights[0], num_qubits=num_parties).amplitudes.reshape(2, -1)
     else:
-        basis = (generalized_ghz_basis(m) if num_parties == 3
-                 else generalized_pair_basis(num_parties, m))
+        basis = generalized_pair_basis(num_parties, m)
         # Alice's halves against the parties' halves: each Bell-type channel
         # pairs equal bits, so the product channel is diagonal
         channel = np.diag(reduce(np.kron, [channel_bell(w).amplitudes[::3] for w in weights]))
@@ -364,8 +359,7 @@ def compile_protocol(
     for helper in range(num_parties - 2):
         # replace this helper's bit by its X outcome, keeping the axis order
         residues = x_bras @ residues.reshape(outcomes << helper, 2, -1)
-    raw = residues.reshape(-1, 2, 2)
-    operators = np.stack((raw, matrices @ raw))
+    operators = matrices @ residues.reshape(-1, 2, 2)
     operators.flags.writeable = False
     return CompiledProtocol(alice_labels, helper_labels, corrections, bits, operators)
 
@@ -377,23 +371,25 @@ def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, di
     m} for "p2", {parties, n, m} for "nparty-ghz" and {ns, m} for
     "nparty-bell", plus an optional ``receiver`` ("bob" or "charlie", default
     charlie) for the first two and ``receiver_index`` (1..N-1, default N-1)
-    for the others.  Every runner and the Monte-Carlo estimator validate
-    through here.  Returns the instrument, the weights as ``ProtocolRun``
-    records them, and the receiver's name.
+    for the others; any other receiver raises ``ValueError``.  Every runner
+    and the Monte-Carlo estimator validate through here.  Returns the
+    instrument, the weights as ``ProtocolRun`` records them, and the
+    receiver's name.
     """
     m = complex(params["m"])
     if protocol in ("p1", "p2"):
-        receiver = Receiver(params.get("receiver", Receiver.CHARLIE))
+        receiver = params.get("receiver", "charlie")
+        if receiver not in ("bob", "charlie"):
+            raise ValueError(f"receiver must be 'bob' or 'charlie', got {receiver!r}")
+        charlie = receiver == "charlie"
         if protocol == "p1":
             n = complex(params["n"])
-            compiled = compile_protocol("p1", (n,), m, 3,
-                                        2 if receiver is Receiver.CHARLIE else 1)
-            return compiled, {"n": n, "m": m}, receiver.value
+            compiled = compile_protocol("p1", (n,), m, 3, 2 if charlie else 1)
+            return compiled, {"n": n, "m": m}, receiver
         # a Bob receiver swaps the (channel, party) pairs
         n1, n2 = complex(params["n1"]), complex(params["n2"])
-        weights = (n1, n2) if receiver is Receiver.CHARLIE else (n2, n1)
-        compiled = compile_protocol("p2", weights, m, 3, 2)
-        return compiled, {"n1": n1, "n2": n2, "m": m}, receiver.value
+        compiled = compile_protocol("p2", (n1, n2) if charlie else (n2, n1), m, 3, 2)
+        return compiled, {"n1": n1, "n2": n2, "m": m}, receiver
 
     if protocol == "nparty-ghz":
         num_parties = int(params["parties"])
@@ -419,22 +415,20 @@ def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, di
 def _branches(compiled: CompiledProtocol, source: InputQubit) -> tuple[BranchRecord, ...]:
     """Apply the instrument to the input: every branch from one batched product."""
     psi = np.array((source.alpha, source.beta))
-    outputs = compiled.operators @ psi  # (raw | corrected, branch, amplitude)
-    probabilities = (outputs[0].real ** 2 + outputs[0].imag ** 2).sum(axis=1)
+    outputs = compiled.operators @ psi  # (branch, amplitude)
+    probabilities = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=1)
     live = probabilities >= ZERO_NORM_THRESHOLD
     states = outputs / np.sqrt(np.where(live, probabilities, 1.0))[:, None]
     states.flags.writeable = False
-    overlaps = states[1] @ psi.conj()
+    overlaps = states @ psi.conj()
     fidelities = np.where(live, np.minimum(overlaps.real ** 2 + overlaps.imag ** 2, 1.0), 0.0)
     bits = compiled.classical_bits
     return tuple(
-        BranchRecord(alice, helpers, p, _fresh_state(1, corrected), f, correction,
-                     _fresh_state(1, raw), bits)
-        if alive else
-        BranchRecord(alice, helpers, p, None, 0.0, correction, None, bits)
-        for alice, helpers, p, f, correction, alive, raw, corrected in zip(
+        BranchRecord(alice, helpers, p, _fresh_state(1, state) if alive else None, f,
+                     correction, bits)
+        for alice, helpers, p, f, correction, alive, state in zip(
             compiled.alice_labels, compiled.helper_labels, probabilities.tolist(),
-            fidelities.tolist(), compiled.corrections, live.tolist(), states[0], states[1])
+            fidelities.tolist(), compiled.corrections, live.tolist(), states)
     )
 
 
@@ -449,7 +443,7 @@ def run_protocol1(
     source: InputQubit,
     n: complex | float,
     m: complex | float,
-    receiver: Receiver | str = Receiver.CHARLIE,
+    receiver: str = "charlie",
 ) -> ProtocolRun:
     """Share ``source`` over the weight-n GHZ-type channel.
 
@@ -467,7 +461,7 @@ def run_protocol2(
     n1: complex | float,
     n2: complex | float,
     m: complex | float,
-    receiver: Receiver | str = Receiver.CHARLIE,
+    receiver: str = "charlie",
 ) -> ProtocolRun:
     """Share ``source`` over two Bell-type channels (n1 to Bob, n2 to Charlie).
 
@@ -621,29 +615,9 @@ def bob_bit_withheld_state(run: ProtocolRun, alice_label: str) -> np.ndarray:
     plus_correction = next(b.correction for b in branches if b.helper_labels[0] == "XPlus")
     rho = np.zeros((2, 2), dtype=np.complex128)
     for branch in branches:
-        if branch.precorrection_state is None:
+        if branch.receiver_state is None:
             continue
-        vec = plus_correction.matrix @ branch.precorrection_state.amplitudes
+        raw = branch.correction.matrix.conj().T @ branch.receiver_state.amplitudes
+        vec = plus_correction.matrix @ raw
         rho += (branch.probability / total) * np.outer(vec, vec.conj())
     return rho
-
-
-def apply_bitflip_and_recover(run: ProtocolRun, branch: BranchRecord, flip: bool) -> BranchRecord:
-    """Model unitary bit-flip noise on the receiver's qubit plus its recovery.
-
-    With ``flip`` the receiver's raw qubit is flipped and an extra flip is
-    appended (applied first) to the correction, so the recovered branch has
-    the same fidelity as the noiseless one.
-    """
-    if not flip or branch.precorrection_state is None:
-        return branch
-    flipped = apply_unitary(branch.precorrection_state, SIGMA_X, 0)
-    recovery = branch.correction @ SIGMA_X
-    corrected = apply_unitary(flipped, recovery, 0)
-    return replace(
-        branch,
-        precorrection_state=flipped,
-        correction=recovery,
-        receiver_state=corrected,
-        fidelity=fidelity(run.source.as_state(), corrected),
-    )

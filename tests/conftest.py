@@ -38,6 +38,6 @@ def exact_haar_rate(compiled) -> float:
     K_j)/6, the average-fidelity identity of Horodecki et al., PRA 60, 1888
     (1999).
     """
-    kraus = compiled.operators[1]
+    kraus = compiled.operators
     traces = np.trace(kraus, axis1=1, axis2=2)
     return float((np.sum(np.abs(traces) ** 2) + np.sum(np.abs(kraus) ** 2)) / 6.0)

@@ -171,12 +171,27 @@ def test_efficiency_complex_weight_omits_analytic():
 
 @pytest.mark.parametrize("weight", ["1e155", "1e300", "-1e308", "1e-300"])
 def test_efficiency_analytic_only_at_extreme_weights(weight):
-    # the "--flag=value" form lets argparse take "-1e308" as a value
+    # both "--n=-1e308" and "--n -1e308" take "-1e308" as the value
     for args in (("--protocol", "p1", f"--n={weight}", f"--m={weight}"),
-                 ("--protocol", "p2", f"--n1={weight}", "--n2", "0.5", f"--m={weight}")):
+                 ("--protocol", "p1", "--n", weight, "--m", weight),
+                 ("--protocol", "p2", f"--n1={weight}", "--n2", "0.5", f"--m={weight}"),
+                 ("--protocol", "p2", "--n1", weight, "--n2", "0.5", "--m", weight)):
         result = invoke("efficiency", *args, "--analytic-only")
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == {"analytic": pytest.approx(2 / 3, abs=1e-15)}
+
+
+def test_negative_complex_and_list_values_in_space_form():
+    for spaced, joined in (
+        (("efficiency", "--protocol", "p1", "--n", "-0.5+0.3j", "--m", "-5e-1",
+          "--samples", "40"),
+         ("efficiency", "--protocol", "p1", "--n=-0.5+0.3j", "--m=-5e-1", "--samples", "40")),
+        (("run", "--protocol", "nparty-bell", "--n-list", "-0.5,0.3", "--m", "0.2"),
+         ("run", "--protocol", "nparty-bell", "--n-list=-0.5,0.3", "--m", "0.2")),
+    ):
+        result, reference = invoke(*spaced), invoke(*joined)
+        assert result.returncode == reference.returncode == 0, result.stderr
+        assert result.stdout == reference.stdout
 
 
 def test_efficiency_threads_accepted_and_ignored():

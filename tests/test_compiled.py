@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_run_matches_oracle
+from oracle import oracle_nparty_bell, oracle_nparty_ghz, oracle_protocol1, oracle_protocol2
 from qsts import (
     InputQubit,
     compile_protocol,
@@ -63,18 +65,22 @@ def test_instrument_complete_and_matches_branches(case):
     psi = np.array([SOURCE.alpha, SOURCE.beta])
     for run_fn, key in _compiled_cases(WEIGHT_CASES[case]):
         compiled = compile_protocol(*key)
-        raw, corrected = compiled.operators
-        completeness = np.einsum("jri,jrk->ik", raw.conj(), raw)
+        kraus = compiled.operators
+        assert kraus.shape == (len(compiled.corrections), 2, 2)
+        completeness = np.einsum("jri,jrk->ik", kraus.conj(), kraus)
         assert np.abs(completeness - np.eye(2)).max() <= 1e-12, key
         run = run_fn(SOURCE)
-        assert len(run.branches) == raw.shape[0]
-        for branch, m_j, k_j, c_j in zip(run.branches, raw, corrected,
-                                         compiled.corrections):
+        assert len(run.branches) == kraus.shape[0]
+        for branch, k_j, c_j in zip(run.branches, kraus, compiled.corrections):
             assert branch.correction is c_j
-            np.testing.assert_allclose(k_j, c_j.matrix @ m_j, rtol=0, atol=1e-15)
-            amplitude = m_j @ psi
+            # the measurement residue M_j = C_j^dagger K_j gives the same probability
+            amplitude = c_j.matrix.conj().T @ (k_j @ psi)
             assert branch.probability == pytest.approx(np.vdot(amplitude, amplitude).real,
                                                        rel=0, abs=1e-15)
+            if branch.receiver_state is not None:
+                np.testing.assert_allclose(
+                    branch.receiver_state.amplitudes * math.sqrt(branch.probability),
+                    k_j @ psi, rtol=0, atol=1e-15)
             transmitted = abs(np.vdot(psi, k_j @ psi)) ** 2
             assert branch.probability * branch.fidelity == pytest.approx(
                 transmitted, rel=0, abs=1e-14), (key, branch.alice_label)
@@ -94,8 +100,6 @@ def test_cache_hit_is_bitwise_equal_to_fresh_compile():
             assert b.receiver_state is None
         else:
             assert np.array_equal(a.receiver_state.amplitudes, b.receiver_state.amplitudes)
-            assert np.array_equal(a.precorrection_state.amplitudes,
-                                  b.precorrection_state.amplitudes)
 
 
 def test_cache_is_bounded():
@@ -144,12 +148,24 @@ inputs = st.builds(
 @given(source=inputs, n=weights, m=weights, other=weights,
        receiver=st.sampled_from(("bob", "charlie")))
 def test_probabilities_and_fidelities_over_complex_weights(source, n, m, other, receiver):
-    _check_run(run_protocol1(source, n, m, receiver))
-    _check_run(run_protocol2(source, n, other, m, receiver))
+    a, b = source.alpha, source.beta
+    run = run_protocol1(source, n, m, receiver)
+    _check_run(run)
+    assert_run_matches_oracle(run, oracle_protocol1(a, b, n, m, receiver))
+    run = run_protocol2(source, n, other, m, receiver)
+    _check_run(run)
+    assert_run_matches_oracle(run, oracle_protocol2(a, b, n, other, m, receiver))
 
 
 @settings(max_examples=25, deadline=None)
 @given(source=inputs, n=weights, m=weights, other=weights, parties=st.integers(3, 5))
 def test_nparty_probabilities_and_fidelities_over_complex_weights(source, n, m, other, parties):
-    _check_run(run_nparty_ghz(source, parties, n, m))
-    _check_run(run_nparty_bell(source, (n, other) + (m,) * (parties - 3), other))
+    a, b = source.alpha, source.beta
+    run = run_nparty_ghz(source, parties, n, m)
+    _check_run(run)
+    assert_run_matches_oracle(run, oracle_nparty_ghz(a, b, parties, n, m))
+    ns = (n, other) + (m,) * (parties - 3)
+    run = run_nparty_bell(source, ns, other)
+    _check_run(run)
+    if parties <= 4:  # one oracle call costs ~0.5 s at N = 5
+        assert_run_matches_oracle(run, oracle_nparty_bell(a, b, ns, other))

@@ -1,4 +1,4 @@
-"""Projective measurement: probabilities, post-states, reconstruction, sampling."""
+"""Projective measurement: probabilities, post-states, reconstruction."""
 
 import math
 
@@ -7,14 +7,12 @@ import pytest
 
 from qsts import (
     InputQubit,
-    MeasurementOutcome,
     PureState,
     basis_ket,
     channel_ghz,
     generalized_bell_basis,
     generalized_ghz_basis,
     measure,
-    sample,
     tensor,
     x_basis,
 )
@@ -125,38 +123,3 @@ def test_measure_argument_errors():
         measure(state, [0, 0], bell)  # duplicate targets
     with pytest.raises(ValueError):
         measure(state, [0, 3], bell)  # out of range
-
-
-# ── sample ───────────────────────────────────────────────────────────────
-
-def test_sample_certain_outcome():
-    only = MeasurementOutcome("A", 1.0, None)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        assert sample([only], rng) is only
-
-
-def test_sample_empirical_frequencies():
-    outcomes = [MeasurementOutcome("H", 0.5, None), MeasurementOutcome("T", 0.5, None)]
-    rng = np.random.default_rng(11)
-    draws = 100_000
-    heads = sum(sample(outcomes, rng).label == "H" for _ in range(draws))
-    sigma = math.sqrt(draws * 0.25)
-    assert abs(heads - draws / 2) < 5 * sigma
-
-
-def test_sample_deterministic_for_fixed_seed():
-    outcomes = [MeasurementOutcome(l, p, None) for l, p in (("A", 0.2), ("B", 0.3), ("C", 0.5))]
-    first = [sample(outcomes, np.random.default_rng(99)).label for _ in range(1)]
-    runs = [[sample(outcomes, np.random.default_rng(99)).label for _ in range(50)]
-            for _ in range(2)]
-    assert runs[0] == runs[1]
-    assert first[0] == runs[0][0]
-
-
-def test_sample_rejects_empty_and_unnormalised():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample([], rng)
-    with pytest.raises(ValueError):
-        sample([MeasurementOutcome("A", 0.4, None)], rng)

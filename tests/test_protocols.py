@@ -16,11 +16,11 @@ from qsts import (
     TABLE2_CORRECTIONS,
     DegenerateChannelError,
     InputQubit,
-    apply_bitflip_and_recover,
     apply_unitary,
     bob_bit_withheld_state,
     channel_ghz,
     choose_m,
+    compile_protocol,
     fidelity,
     generalized_ghz_basis,
     measure,
@@ -34,6 +34,7 @@ from qsts import (
     verify_table1,
     verify_table2,
 )
+from qsts.protocols import compile_params
 from qsts.states import SIGMA_X
 
 GENERIC = InputQubit(0.6, 0.8)
@@ -272,6 +273,42 @@ def test_tables_are_total_and_unitary():
         np.testing.assert_allclose(gate.matrix.conj().T @ gate.matrix, np.eye(2), atol=1e-12)
 
 
+def _same_gate(gate, frozen):
+    return gate.name == frozen.name and np.array_equal(gate.matrix, frozen.matrix)
+
+
+def test_derived_corrections_match_the_frozen_tables():
+    # p1 and nparty-ghz: TABLE1 at (Alice outcome, parity of the helpers' XMinus count)
+    cases = [("p1", 3, r) for r in (1, 2)]
+    cases += [("nparty-ghz", n, r) for n in range(3, 11) for r in range(1, n)]
+    for protocol, parties, receiver in cases:
+        compiled = compile_protocol(protocol, (0.5,), 0.7, parties, receiver)
+        for alice, helpers, gate in zip(compiled.alice_labels, compiled.helper_labels,
+                                        compiled.corrections):
+            parity = "XMinus" if helpers.count("XMinus") % 2 else "XPlus"
+            assert _same_gate(gate, TABLE1_CORRECTIONS[(alice, parity)]), (
+                protocol, parties, receiver, alice, helpers)
+    for receiver in ("bob", "charlie"):
+        compiled, _, _ = compile_params("p2", {"n1": 0.5, "n2": 0.3, "m": 0.7,
+                                               "receiver": receiver})
+        for alice, (helper,), gate in zip(compiled.alice_labels, compiled.helper_labels,
+                                          compiled.corrections):
+            assert _same_gate(gate, TABLE2_CORRECTIONS[(alice, helper)])
+
+    # nparty-bell at N = 3: the anchor rule is TABLE2 up to a global phase
+    compiled = compile_protocol("nparty-bell", (0.5, 0.3), 0.7, 3, 2)
+    renamed = []
+    for alice, (helper,), gate in zip(compiled.alice_labels, compiled.helper_labels,
+                                      compiled.corrections):
+        frozen = TABLE2_CORRECTIONS[(alice, helper)]
+        overlap = abs(np.trace(frozen.matrix.conj().T @ gate.matrix))
+        assert overlap == pytest.approx(2.0, rel=0, abs=1e-12), (alice, helper)
+        if gate.name != frozen.name:
+            renamed.append((alice, helper, frozen.name, gate.name))
+    # the rule gives ZX = -XZ on these rows, which is why p2 keeps its table
+    assert renamed == [("HPlus", "XMinus", "XZ", "ZX"), ("HMinus", "XPlus", "XZ", "ZX"),
+                       ("ZMinus", "XPlus", "XZ", "ZX")]
+
 def test_verify_table1_grid():
     for n in (0.3, 0.7, 1.0):
         for m in (0.3, 0.7, 1.0):
@@ -457,22 +494,6 @@ def test_withheld_bit_errors():
 
 
 # ── bit-flip noise ───────────────────────────────────────────────────────
-
-def test_bitflip_noop_returns_same_record():
-    run = run_protocol1(GENERIC, 0.5, 0.7)
-    branch = run.branches[0]
-    assert apply_bitflip_and_recover(run, branch, False) is branch
-
-
-def test_bitflip_recovery_restores_fidelity(rng):
-    for _ in range(3):
-        qubit = generic_haar(rng)
-        run = run_protocol1(qubit, 0.5, choose_m("phi-minus", n=0.5))
-        for branch in run.branches:
-            recovered = apply_bitflip_and_recover(run, branch, True)
-            assert recovered.fidelity == pytest.approx(branch.fidelity, abs=1e-12)
-            assert recovered.probability == branch.probability
-
 
 def test_bitflip_without_recovery_damages_fidelity(rng):
     qubit = generic_haar(rng)
