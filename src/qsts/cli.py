@@ -14,12 +14,15 @@ import argparse
 import cmath
 import math
 import sys
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .efficiency import analytic_rate, cpro_monte_carlo, haar_sample
+from .efficiency import WEIGHTS, analytic_rate, cpro_monte_carlo, haar_sample
 from .protocols import (
+    TABLE1_CORRECTIONS,
+    TABLE2_CORRECTIONS,
     DegenerateChannelError,
     ProtocolRun,
     choose_m,
@@ -137,17 +140,18 @@ def _parse_input(text: str, default_seed: int) -> InputQubit:
         raise CliError(str(exc)) from None
 
 
-def _channel_params(args) -> dict:
-    """Extract and validate the channel weights demanded by the protocol."""
+def _channel_params(args, swept: str | None = None) -> dict:
+    """Extract and validate the channel weights demanded by the protocol.
+
+    A ``sweep`` passes its swept parameter, whose weight is not read.
+    """
     protocol = args.protocol
-    if protocol == "p1":
-        if args.n is None:
-            raise CliError("p1 needs --n")
-        return {"n": _parse_complex(args.n, "--n")}
-    if protocol == "p2":
-        if args.n1 is None or args.n2 is None:
-            raise CliError("p2 needs --n1 and --n2")
-        return {"n1": _parse_complex(args.n1, "--n1"), "n2": _parse_complex(args.n2, "--n2")}
+    if protocol in WEIGHTS:
+        names = [name for name in WEIGHTS[protocol][:-1] if name != swept]
+        missing = [f"--{name}" for name in names if getattr(args, name) is None]
+        if missing:
+            raise CliError(f"{protocol} needs {' and '.join(missing)}")
+        return {name: _parse_complex(getattr(args, name), f"--{name}") for name in names}
     if protocol == "nparty-ghz":
         if args.n is None or args.parties is None:
             raise CliError("nparty-ghz needs --n and --parties")
@@ -158,25 +162,21 @@ def _channel_params(args) -> dict:
     return {"ns": ns}
 
 
-def _resolve_m(m_text: str, channel: dict) -> complex:
-    if m_text.startswith("strategy:"):
-        name = m_text.split(":", 1)[1]
-        if "n" in channel:
-            return choose_m(name, n=channel["n"])
-        if "ns" in channel:
-            return choose_m(name, ns=channel["ns"])
-        return choose_m(name, n1=channel["n1"], n2=channel["n2"])
-    return _parse_complex(m_text, "--m")
+def _resolve_m(m_text: str, channel: dict, receiver: str | None = None) -> complex:
+    if not m_text.startswith("strategy:"):
+        return _parse_complex(m_text, "--m")
+    weights = {name: value for name, value in channel.items() if name != "parties"}
+    if receiver == "bob" and "n2" in weights:
+        # choose_m takes p2's helper channel as n1 and the receiver's as n2
+        weights = {"n1": weights["n2"], "n2": weights["n1"]}
+    return choose_m(m_text.split(":", 1)[1], **weights)
 
 
 def _parse_receiver(args, protocol: str):
+    # compile_params checks the p1/p2 receiver names
     text = args.receiver
-    if protocol in ("p1", "p2"):
-        if text is None:
-            return "charlie"
-        if text not in ("bob", "charlie"):
-            raise CliError("--receiver must be bob or charlie for two-receiver protocols")
-        return text
+    if protocol in WEIGHTS:
+        return "charlie" if text is None else text
     if text is None:
         return None
     try:
@@ -199,7 +199,7 @@ def _execute(protocol: str, source: InputQubit, channel: dict, m: complex, recei
 
 def _cmd_run(args) -> int:
     channel = _channel_params(args)
-    m = _resolve_m(args.m, channel)
+    m = _resolve_m(args.m, channel, args.receiver)
     source = _parse_input(args.input, args.seed)
     receiver = _parse_receiver(args, args.protocol)
     run = _execute(args.protocol, source, channel, m, receiver)
@@ -253,24 +253,21 @@ def _cmd_run(args) -> int:
 def _cmd_verify_tables(args) -> int:
     corrupt = None
     if args.corrupt:
-        parts = args.corrupt.split(",")
-        if len(parts) != 2:
+        corrupt = tuple(args.corrupt.split(","))
+        if len(corrupt) != 2:
             raise CliError("--corrupt expects 'AliceLabel,HelperLabel'")
-        corrupt = (parts[0], parts[1])
+        if corrupt not in TABLE1_CORRECTIONS and corrupt not in TABLE2_CORRECTIONS:
+            raise CliError(f"--corrupt names a row of neither table: {args.corrupt!r}")
 
     # worst fidelity gap per outcome row, aggregated over the fixed grid
+    tables = (("table1", verify_table1, 1), ("table2", verify_table2, 2))
     worst: dict[tuple[str, str, str], float] = {}
     for m in _VERIFY_WEIGHTS:
         for source in _VERIFY_INPUTS:
-            for n in _VERIFY_WEIGHTS:
-                for check in verify_table1(n, m, source, args.tolerance, corrupt):
-                    key = ("table1", check.alice_label, check.helper_label)
-                    if check.fidelity_to_expected is not None:
-                        worst[key] = min(worst.get(key, 1.0), check.fidelity_to_expected)
-            for n1 in _VERIFY_WEIGHTS:
-                for n2 in _VERIFY_WEIGHTS:
-                    for check in verify_table2(n1, n2, m, source, args.tolerance, corrupt):
-                        key = ("table2", check.alice_label, check.helper_label)
+            for table, verify, channels in tables:
+                for ns in product(_VERIFY_WEIGHTS, repeat=channels):
+                    for check in verify(*ns, m, source, args.tolerance, corrupt):
+                        key = (table, check.alice_label, check.helper_label)
                         if check.fidelity_to_expected is not None:
                             worst[key] = min(worst.get(key, 1.0), check.fidelity_to_expected)
 
@@ -287,9 +284,7 @@ def _cmd_verify_tables(args) -> int:
 
 def _cmd_efficiency(args) -> int:
     channel = _channel_params(args)
-    m = _resolve_m(args.m, channel)
-    params = dict(channel)
-    params["m"] = m
+    params = {**channel, "m": _resolve_m(args.m, channel)}
     if args.analytic_only:
         analytic = analytic_rate(args.protocol, params)
         if analytic is None:
@@ -316,9 +311,9 @@ def _cmd_sweep(args) -> int:
     if args.start > args.stop:
         raise CliError("--from must not exceed --to")
     swept = args.param
-    allowed = {"p1": ("n", "m"), "p2": ("n1", "n2", "m")}[args.protocol]
-    if swept not in allowed:
-        raise CliError(f"--param must be one of {allowed} for {args.protocol}")
+    if swept not in WEIGHTS[args.protocol]:
+        raise CliError(f"--param must be one of {WEIGHTS[args.protocol]} for {args.protocol}")
+    fixed = _channel_params(args, swept)
     if args.steps == 1:
         values = [args.start]
     else:
@@ -327,25 +322,12 @@ def _cmd_sweep(args) -> int:
 
     lines = ["param,value,analytic,estimate,std_error"]
     for i, value in enumerate(values):
-        channel: dict = {}
-        for name in allowed:
-            if name == "m":
-                continue
-            if name == swept:
-                channel[name] = value
-            else:
-                fixed = getattr(args, name)
-                if fixed is None:
-                    raise CliError(f"sweep over {swept!r} needs a fixed --{name}")
-                channel[name] = _parse_complex(fixed, f"--{name}")
-        if swept == "m":
-            m = complex(value)
-        elif args.m == swept:
-            m = complex(value)  # basis weight tracks the swept channel weight
+        channel = fixed if swept == "m" else {**fixed, swept: value}
+        if swept in ("m", args.m):
+            m = complex(value)  # the basis weight is, or tracks, the swept weight
         else:
             m = _resolve_m(args.m, channel)
-        params = dict(channel)
-        params["m"] = m
+        params = {**channel, "m": m}
         report = cpro_monte_carlo(args.protocol, params, args.samples, args.seed + i)
         analytic = "" if report.analytic is None else _format_float(report.analytic)
         lines.append(
@@ -454,7 +436,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DegenerateChannelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:  # CliError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

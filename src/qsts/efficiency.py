@@ -23,6 +23,10 @@ from .protocols import ProtocolRun, compile_params
 from .protocols import run_nparty_bell, run_nparty_ghz, run_protocol1, run_protocol2  # noqa: F401
 from .states import InputQubit
 
+#: The weights that the closed-form protocols take, by name: the channel
+#: weights, then the basis weight m.
+WEIGHTS = {"p1": ("n", "m"), "p2": ("n1", "n2", "m")}
+
 
 @dataclass(frozen=True)
 class EfficiencyReport:
@@ -50,13 +54,13 @@ def concurrence(m: float) -> float:
     return abs(_signed_concurrence(float(m)))
 
 
-def _sorted_product(*factors: float) -> float:
-    # multiply in ascending order so the result is bitwise invariant under
-    # permutation of the arguments
-    out = 1.0
-    for f in sorted(factors):
-        out *= f
-    return out
+def _closed_form(*weights: float) -> float:
+    # (2/3)(1 + prod c(w)/2), the factors multiplied in ascending order so the
+    # result is bitwise invariant under permutation of the weights
+    product = 1.0
+    for factor in sorted(_signed_concurrence(float(w)) for w in weights):
+        product *= factor
+    return (2.0 / 3.0) * (1.0 + product / 2.0)
 
 
 def cpro1_analytic(n: float, m: float) -> float:
@@ -65,8 +69,7 @@ def cpro1_analytic(n: float, m: float) -> float:
     (2/3)(1 + 2mn/((1+m^2)(1+n^2))) = (2/3)(1 + c(m)c(n)/2); equals 1 only
     at m = n = 1.
     """
-    c = _sorted_product(_signed_concurrence(float(n)), _signed_concurrence(float(m)))
-    return (2.0 / 3.0) * (1.0 + c / 2.0)
+    return _closed_form(n, m)
 
 
 def cpro2_analytic(n1: float, n2: float, m: float) -> float:
@@ -76,8 +79,7 @@ def cpro2_analytic(n1: float, n2: float, m: float) -> float:
     invariant under any permutation of (m, n1, n2) and equal to 1 only at
     m = n1 = n2 = 1.
     """
-    c = _sorted_product(*(_signed_concurrence(float(x)) for x in (n1, n2, m)))
-    return (2.0 / 3.0) * (1.0 + c / 2.0)
+    return _closed_form(n1, n2, m)
 
 
 def haar_sample(rng: np.random.Generator) -> InputQubit:
@@ -104,22 +106,18 @@ def transmission_sum(run: ProtocolRun) -> float:
 def analytic_rate(protocol: str, params: Mapping) -> float | None:
     """Closed-form rate for a runner parameter set, None where undefined.
 
-    Defined for "p1" and "p2" with real weights only; the many-party
-    extensions and complex weights have no closed form here.
+    Defined for the protocols of ``WEIGHTS``, "p1" and "p2", when every
+    weight they name is real: then the rate is (2/3)(1 + prod c(w)/2) over
+    those weights, c(x) = 2x/(1+x^2), which is ``cpro1_analytic`` or
+    ``cpro2_analytic``.  The many-party extensions and complex weights have
+    no closed form here.
     """
-    def real(value) -> float | None:
-        value = complex(value)
-        return value.real if value.imag == 0.0 else None
-
-    if protocol == "p1":
-        n, m = real(params["n"]), real(params["m"])
-        if n is not None and m is not None:
-            return cpro1_analytic(n, m)
-    elif protocol == "p2":
-        n1, n2, m = real(params["n1"]), real(params["n2"]), real(params["m"])
-        if None not in (n1, n2, m):
-            return cpro2_analytic(n1, n2, m)
-    return None
+    if protocol not in WEIGHTS:
+        return None
+    values = [complex(params[name]) for name in WEIGHTS[protocol]]
+    if any(value.imag != 0.0 for value in values):
+        return None
+    return _closed_form(*(value.real for value in values))
 
 
 def cpro_monte_carlo(

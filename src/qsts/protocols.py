@@ -181,6 +181,11 @@ STRATEGIES: dict[str, MStrategy] = {
 }
 
 
+#: The two-channel rules that set m from the product of the channel weights,
+#: and so apply to any number of Bell-type channels.
+PRODUCT_RULES = ("ghz-plus", "h-plus", "ghz-minus", "h-minus")
+
+
 def _resolve_strategy(strategy: MStrategy | str) -> MStrategy:
     if isinstance(strategy, MStrategy):
         return strategy
@@ -201,9 +206,12 @@ def choose_m(
     """Resolve the basis weight mandated by a named strategy.
 
     Single-channel rules take ``n``; two-channel rules take ``n1``/``n2`` or,
-    for the product rules of the many-party extension, the full sequence
-    ``ns``.  Conjugations are applied literally: a rule written m* = 1/n
-    yields conj(1/n).
+    for the ``PRODUCT_RULES`` of the many-party extension, the full sequence
+    ``ns``.  For "p2", ``n1`` is the helper's channel weight and ``n2`` the
+    receiver's: with the default Charlie receiver these are the runner's
+    ``n1``/``n2``, and with a Bob receiver they are its ``n2``/``n1``.  Only
+    the ratio rules (z/g) tell the two apart.  Conjugations are applied
+    literally: a rule written m* = 1/n yields conj(1/n).
     """
     s = _resolve_strategy(strategy)
     try:
@@ -225,10 +233,8 @@ def choose_m(
             ns = (n1, n2)
         weights = tuple(complex(x) for x in ns)
         product = reduce(mul, weights, complex(1.0))
-        if s.name in ("ghz-plus", "h-plus"):
-            return (1.0 / product).conjugate()
-        if s.name in ("ghz-minus", "h-minus"):
-            return product
+        if s.name in PRODUCT_RULES:
+            return product if s.name.endswith("minus") else (1.0 / product).conjugate()
         if len(weights) != 2:
             raise ValueError(f"strategy {s.name!r} applies to exactly two channels")
         first, second = weights
@@ -260,7 +266,7 @@ def nparty_bell_targets(strategy: MStrategy | str, num_parties: int) -> frozense
     these are exactly the labels of ``strategy_targets``.
     """
     s = _resolve_strategy(strategy)
-    if s.name not in ("ghz-plus", "h-plus", "ghz-minus", "h-minus"):
+    if s.name not in PRODUCT_RULES:
         raise ValueError(f"strategy {s.name!r} has no many-party generalisation")
     minus = s.name.endswith("minus")
     labels = []
@@ -529,6 +535,9 @@ def _check_rows(
     tolerance: float,
     corrupt_row: tuple[str, str] | None,
 ) -> list[TableRowCheck]:
+    # a NaN, negative or >= 1 tolerance would make every row fail or pass
+    if not 0.0 <= tolerance < 1.0:
+        raise ValueError(f"tolerance must be a finite number in [0, 1), got {tolerance!r}")
     checks = []
     for branch in run.branches:
         helper_label = branch.helper_labels[0]
@@ -556,7 +565,8 @@ def verify_table1(
 
     The expected receiver states (up to normalisation) are
     PhiPlus: a|0> + m*n b|1>, PhiMinus: m a|0> + n b|1>,
-    PsiPlus: n a|0> + m* b|1>, PsiMinus: m n a|0> + b|1>.
+    PsiPlus: n a|0> + m* b|1>, PsiMinus: m n a|0> + b|1>.  ``tolerance``
+    must lie in [0, 1); anything else raises ``ValueError``.
     """
     n, m = complex(n), complex(m)
     a, b = source.alpha, source.beta
@@ -578,7 +588,10 @@ def verify_table2(
     tolerance: float = 1e-10,
     corrupt_row: tuple[str, str] | None = None,
 ) -> list[TableRowCheck]:
-    """Check all 16 outcome rows of the two-Bell-channel protocol."""
+    """Check all 16 outcome rows of the two-Bell-channel protocol.
+
+    ``tolerance`` must lie in [0, 1); anything else raises ``ValueError``.
+    """
     n1, n2, m = complex(n1), complex(n2), complex(m)
     a, b = source.alpha, source.beta
     mc = m.conjugate()

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from qsts import strategy_targets
+
 RUN = [sys.executable, "-m", "qsts"]
 
 
@@ -53,6 +55,20 @@ def test_run_nparty_and_csv_format():
     assert lines[0] == "alice,helpers,probability,fidelity,correction"
     assert len(lines) == 1 + 4 * 4  # four Alice outcomes x two helpers
     assert lines[1].split(",")[1].count("+") == 1  # two helper labels joined
+
+
+@pytest.mark.parametrize("receiver", ["bob", "charlie"])
+@pytest.mark.parametrize("strategy", ["z-plus", "g-plus", "z-minus", "g-minus"])
+def test_ratio_strategy_hits_its_targets_at_either_receiver(strategy, receiver):
+    # the ratio rules read the helper's and the receiver's channel weights,
+    # which a Bob receiver swaps
+    result = invoke("run", "--protocol", "p2", "--n1", "0.5", "--n2", "0.3",
+                    "--m", f"strategy:{strategy}", "--receiver", receiver,
+                    "--input", "0.6,0,0.8,0")
+    assert result.returncode == 0, result.stderr
+    hit = {b["alice"] for b in json.loads(result.stdout)["branches"]
+           if b["fidelity"] >= 1 - 1e-9}
+    assert hit == strategy_targets(strategy)
 
 
 def test_run_rejects_inconsistent_config():
@@ -134,6 +150,18 @@ def test_verify_tables_corruption_detected():
 def test_verify_tables_absurd_tolerance_fails():
     result = invoke("verify-tables", "--tolerance", "1e-30")
     assert result.returncode == 4
+
+
+@pytest.mark.parametrize("args", [("--tolerance", "inf"), ("--tolerance", "nan"),
+                                  ("--tolerance", "-1"), ("--tolerance", "1"),
+                                  ("--corrupt", "Foo,Bar"), ("--corrupt", "PhiPlus,XPlus,XMinus")])
+def test_verify_tables_rejects_a_meaningless_check(args):
+    # a tolerance outside [0, 1) or a corrupted row in neither table would
+    # make every row pass or fail whatever the tables hold
+    result = invoke("verify-tables", *args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "error:" in result.stderr
 
 
 # ── efficiency ───────────────────────────────────────────────────────────

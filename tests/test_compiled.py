@@ -1,8 +1,10 @@
 """The compiled branch instrument: completeness, branch identities, caching,
-and the weight edges (zero, tiny, huge, non-finite) for every runner."""
+the weight edges (zero, tiny, huge, non-finite) for every runner, and the
+strategies' unit-fidelity targets over the whole weight space."""
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,13 +14,20 @@ from hypothesis import strategies as st
 from conftest import assert_run_matches_oracle
 from oracle import oracle_nparty_bell, oracle_nparty_ghz, oracle_protocol1, oracle_protocol2
 from qsts import (
+    STRATEGIES,
+    SUCCESS_FIDELITY,
+    DegenerateChannelError,
     InputQubit,
+    choose_m,
     compile_protocol,
+    nparty_bell_targets,
     run_nparty_bell,
     run_nparty_ghz,
     run_protocol1,
     run_protocol2,
+    strategy_targets,
 )
+from qsts.protocols import PRODUCT_RULES
 
 SOURCE = InputQubit(0.6, 0.8j)
 
@@ -169,3 +178,67 @@ def test_nparty_probabilities_and_fidelities_over_complex_weights(source, n, m, 
     _check_run(run)
     if parties <= 4:  # one oracle call costs ~0.5 s at N = 5
         assert_run_matches_oracle(run, oracle_nparty_bell(a, b, ns, other))
+
+
+# ── strategy targets over the whole weight space ─────────────────────────
+
+magnitudes = st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent)
+extreme_weights = st.one_of(
+    st.builds(lambda size, sign: sign * size, magnitudes, st.sampled_from((1.0, -1.0))),
+    st.builds(cmath.rect, magnitudes, st.floats(0.0, 2 * math.pi)),
+)
+
+
+def _assert_live_targets_exact(strategy, channel, run, targets):
+    """Run at the strategy's m: every live target branch has fidelity 1.
+
+    An m that overflows is refused as a non-finite weight.  A product rule
+    whose weights' product underflows to 0 is refused as degenerate.
+    """
+    try:
+        m = choose_m(strategy, **channel)
+    except DegenerateChannelError:
+        assert strategy in PRODUCT_RULES  # no drawn weight is 0
+        return
+    if not cmath.isfinite(m):
+        with pytest.raises(ValueError, match="finite"):
+            run(m=m)
+        return
+    for branch in run(m=m).branches:
+        if branch.alice_label in targets and branch.receiver_state is not None:
+            assert branch.fidelity >= SUCCESS_FIDELITY, (strategy, channel, branch.alice_label)
+
+
+@settings(max_examples=100, deadline=None)
+@given(source=inputs, n=extreme_weights, other=extreme_weights,
+       more=st.lists(extreme_weights, min_size=2, max_size=2),
+       ghz_parties=st.integers(4, 6), bell_parties=st.integers(3, 5), data=st.data())
+def test_strategies_reach_their_targets_over_the_weight_space(
+        source, n, other, more, ghz_parties, bell_parties, data):
+    real = n.imag == 0.0
+    for name, strategy in STRATEGIES.items():
+        for receiver in ("bob", "charlie"):
+            if strategy.protocol == "p1":
+                _assert_live_targets_exact(
+                    name, {"n": n}, partial(run_protocol1, source, n, receiver=receiver),
+                    strategy_targets(name, real=real))
+            else:
+                # choose_m takes the helper's channel as n1, the receiver's as n2
+                helper, own = (other, n) if receiver == "bob" else (n, other)
+                _assert_live_targets_exact(
+                    name, {"n1": helper, "n2": own},
+                    partial(run_protocol2, source, n, other, receiver=receiver),
+                    strategy_targets(name))
+    receiver = data.draw(st.integers(1, ghz_parties - 1))
+    for name, strategy in STRATEGIES.items():
+        if strategy.protocol == "p1":
+            _assert_live_targets_exact(
+                name, {"n": n},
+                partial(run_nparty_ghz, source, ghz_parties, n, receiver_index=receiver),
+                strategy_targets(name, real=real))
+    ns = (n, other, *more)[:bell_parties - 1]
+    receiver = data.draw(st.integers(1, bell_parties - 1))
+    for name in PRODUCT_RULES:
+        _assert_live_targets_exact(
+            name, {"ns": ns}, partial(run_nparty_bell, source, ns, receiver_index=receiver),
+            nparty_bell_targets(name, bell_parties))
