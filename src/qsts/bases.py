@@ -1,9 +1,12 @@
 """Parameterised measurement bases and partially entangled channel states.
 
-All basis families carry a complex weight: at weight 1 they reduce to the
-familiar maximally entangled Bell / GHZ sets, at weight 0 they degenerate to
-product kets.  Outcome labels are stable strings so protocol tables and
-serialised runs can be keyed on them.
+Each basis family and channel state is one construction: the pairs
+M(|s> + w|s̄>), M(w*|s> - |s̄>) over anchor kets s, s̄ the bitwise complement
+of s and M = 1/sqrt(1+|w|^2).  The weight-m Bell family takes the anchors 00
+and 01, the paired (GHZ-type) family the even anchors, and a channel state is
+the plus ket at anchor 0.  Weight 1 gives the maximally entangled Bell / GHZ
+sets, weight 0 product kets.  Outcome labels are stable strings so protocol
+tables and serialised runs can be keyed on them.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +25,6 @@ BELL_LABELS = ("PhiPlus", "PhiMinus", "PsiPlus", "PsiMinus")
 GHZ_LABELS = ("GHZPlus", "GHZMinus", "GPlus", "GMinus",
               "HPlus", "HMinus", "ZPlus", "ZMinus")
 X_LABELS = ("XPlus", "XMinus")
-
-_GHZ_STEMS = ("GHZ", "G", "H", "Z")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,22 +59,35 @@ def _weight_norm(m: complex) -> float:
     return 1.0 / math.hypot(1.0, m.real, m.imag)
 
 
+def _paired_kets(num_qubits: int, anchors: Sequence[int], w: complex) -> np.ndarray:
+    """Rows M(|s> + w|s̄>), M(w*|s> - |s̄>) for each anchor index s, in order.
+
+    s̄ is the bitwise complement of s and M = 1/sqrt(1+|w|^2).
+    """
+    f = _weight_norm(w)
+    plus, minus = (f, f * w), (f * w.conjugate(), -f)
+    kets = np.zeros((len(anchors), 2, 1 << num_qubits), dtype=np.complex128)
+    for pair, s in zip(kets, anchors):
+        # index ~s = -1 - s counts from the end: the complement's index
+        (pair[0, s], pair[0, ~s]), (pair[1, s], pair[1, ~s]) = plus, minus
+    return kets.reshape(2 * len(anchors), -1)
+
+
+def _paired_basis(labels: tuple[str, ...], num_qubits: int, anchors: Sequence[int],
+                  m: complex | float) -> BasisSet:
+    kets = _paired_kets(num_qubits, anchors, complex(m))
+    return BasisSet(labels, tuple(PureState(num_qubits, v) for v in kets), num_qubits)
+
+
 def generalized_bell_basis(m: complex | float) -> BasisSet:
     """The four weight-m two-qubit states, in the order of BELL_LABELS.
 
     PhiPlus = M(|00> + m|11>), PhiMinus = M(m*|00> - |11>),
     PsiPlus = M(|01> + m|10>), PsiMinus = M(m*|01> - |10>),
-    with M = 1/sqrt(1+|m|^2).  m = 1 gives the standard Bell basis.
+    with M = 1/sqrt(1+|m|^2): the pairs anchored at 00 and 01.  m = 1 gives
+    the standard Bell basis.
     """
-    m = complex(m)
-    f = _weight_norm(m)
-    mc = m.conjugate()
-    vecs = np.zeros((4, 4), dtype=np.complex128)
-    vecs[0, 0], vecs[0, 3] = f, f * m        # |00> + m|11>
-    vecs[1, 0], vecs[1, 3] = f * mc, -f      # m*|00> - |11>
-    vecs[2, 1], vecs[2, 2] = f, f * m        # |01> + m|10>
-    vecs[3, 1], vecs[3, 2] = f * mc, -f      # m*|01> - |10>
-    return BasisSet(BELL_LABELS, tuple(PureState(2, v) for v in vecs), 2)
+    return _paired_basis(BELL_LABELS, 2, (0, 1), m)
 
 
 def pair_anchors(num_qubits: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
@@ -83,41 +98,17 @@ def pair_anchors(num_qubits: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
     over the bit strings with last bit 0, ascending, so at three qubits the
     ordering is exactly that of ``generalized_ghz_basis``.
     """
-    out = []
-    for s in range(0, 1 << num_qubits, 2):
-        bits = tuple((s >> (num_qubits - 1 - q)) & 1 for q in range(num_qubits))
-        out.append((bits, False))
-        out.append((bits, True))
-    return tuple(out)
+    return tuple((tuple(int(bit) for bit in f"{s:0{num_qubits}b}"), minus)
+                 for s in range(0, 1 << num_qubits, 2) for minus in (False, True))
 
 
 def pair_labels(num_qubits: int) -> tuple[str, ...]:
-    """Outcome labels of the paired family; named stems at 3 qubits."""
-    labels = []
-    for s in range(0, 1 << num_qubits, 2):
-        if num_qubits == 3:
-            stem = _GHZ_STEMS[s // 2]
-        else:
-            stem = "S" + format(s, f"0{num_qubits}b")
-        labels.append(stem + "Plus")
-        labels.append(stem + "Minus")
-    return tuple(labels)
-
-
-def _pair_basis(num_qubits: int, m: complex) -> BasisSet:
-    f = _weight_norm(m)
-    mc = m.conjugate()
-    dim = 1 << num_qubits
-    states = []
-    for s in range(0, dim, 2):
-        comp = dim - 1 - s
-        plus = np.zeros(dim, dtype=np.complex128)
-        plus[s], plus[comp] = f, f * m
-        minus = np.zeros(dim, dtype=np.complex128)
-        minus[s], minus[comp] = f * mc, -f
-        states.append(PureState(num_qubits, plus))
-        states.append(PureState(num_qubits, minus))
-    return BasisSet(pair_labels(num_qubits), tuple(states), num_qubits)
+    """Outcome labels of the paired family: GHZ_LABELS at 3 qubits, else
+    "S" + anchor bits + "Plus"/"Minus"."""
+    if num_qubits == 3:
+        return GHZ_LABELS
+    return tuple(f"S{s:0{num_qubits}b}{sign}"
+                 for s in range(0, 1 << num_qubits, 2) for sign in ("Plus", "Minus"))
 
 
 def generalized_ghz_basis(m: complex | float) -> BasisSet:
@@ -126,7 +117,7 @@ def generalized_ghz_basis(m: complex | float) -> BasisSet:
     GHZPlus = M(|000> + m|111>), ..., ZMinus = M(m*|110> - |001>).
     m = 1 gives the standard GHZ-type basis.
     """
-    return _pair_basis(3, complex(m))
+    return _paired_basis(GHZ_LABELS, 3, range(0, 8, 2), m)
 
 
 def generalized_pair_basis(num_qubits: int, m: complex | float) -> BasisSet:
@@ -138,7 +129,8 @@ def generalized_pair_basis(num_qubits: int, m: complex | float) -> BasisSet:
     """
     if not 3 <= num_qubits <= 10:
         raise ValueError("paired family supported for 3..10 qubits")
-    return _pair_basis(int(num_qubits), complex(m))
+    num_qubits = int(num_qubits)
+    return _paired_basis(pair_labels(num_qubits), num_qubits, range(0, 1 << num_qubits, 2), m)
 
 
 @lru_cache(maxsize=1)
@@ -148,21 +140,14 @@ def x_basis() -> BasisSet:
     return BasisSet(X_LABELS, (PureState(1, [s, s]), PureState(1, [s, -s])), 1)
 
 
-def _channel_ghz(n: complex, num_qubits: int) -> PureState:
-    f = _weight_norm(n)
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[0] = f
-    amps[-1] = f * n
-    return PureState(num_qubits, amps)
-
-
 def channel_ghz(n: complex | float, num_qubits: int = 3) -> PureState:
     """Partially entangled channel N(|0...0> + n|1...1>); maximal at n = 1."""
     if not 2 <= num_qubits <= 12:
         raise ValueError("channel supported for 2..12 qubits")
-    return _channel_ghz(complex(n), int(num_qubits))
+    num_qubits = int(num_qubits)
+    return PureState(num_qubits, _paired_kets(num_qubits, (0,), complex(n))[0])
 
 
 def channel_bell(n: complex | float) -> PureState:
     """Partially entangled two-qubit channel N(|00> + n|11>)."""
-    return _channel_ghz(complex(n), 2)
+    return PureState(2, _paired_kets(2, (0,), complex(n))[0])

@@ -21,8 +21,7 @@ import numpy as np
 
 from .efficiency import WEIGHTS, analytic_rate, cpro_monte_carlo, haar_sample
 from .protocols import (
-    TABLE1_CORRECTIONS,
-    TABLE2_CORRECTIONS,
+    FROZEN_TABLES,
     DegenerateChannelError,
     ProtocolRun,
     choose_m,
@@ -256,7 +255,7 @@ def _cmd_verify_tables(args) -> int:
         corrupt = tuple(args.corrupt.split(","))
         if len(corrupt) != 2:
             raise CliError("--corrupt expects 'AliceLabel,HelperLabel'")
-        if corrupt not in TABLE1_CORRECTIONS and corrupt not in TABLE2_CORRECTIONS:
+        if not any(corrupt in table for table in FROZEN_TABLES.values()):
             raise CliError(f"--corrupt names a row of neither table: {args.corrupt!r}")
 
     # worst fidelity gap per outcome row, aggregated over the fixed grid

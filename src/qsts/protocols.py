@@ -1,21 +1,24 @@
-"""Protocol runners: each protocol compiled to a 2x2 branch instrument.
+"""Protocol runners: two channel families compiled to 2x2 branch instruments.
 
-Two base protocols are implemented, plus their many-party extensions:
-
-* ``run_protocol1`` — the input qubit is shared over a three-party GHZ-type
-  channel of weight n; Alice measures her two qubits in the weight-m Bell
-  family, the helper X-measures, the receiver applies a Pauli correction.
-* ``run_protocol2`` — two Bell-type channels of weights n1 (to Bob) and n2
-  (to Charlie); Alice measures her three qubits in the weight-m GHZ family.
-
-``compile_protocol`` turns a parameter set into one 2x2 operator per joint
-outcome.  Every runner enumerates all branches exactly (no sampling) from
-them, recording per branch the outcome labels, joint probability, the
-receiver's corrected state and its fidelity with the input.
+The compile knows two channel families: "ghz", one GHZ-type channel of
+weight n shared by every party, with Alice measuring her input and channel
+qubits in the weight-m Bell family; and "bell", one Bell-type channel per
+party, with Alice measuring her input and her half of every channel in the
+weight-m paired family.  The helpers X-measure, and the receiver applies a
+frozen table's correction at (Alice outcome, helper parity) or the bell
+family's anchor rule.  ``run_protocol1`` is the ghz family at three parties,
+``run_nparty_ghz`` at 3..10; ``run_protocol2`` is the bell family at three
+parties (n1 to Bob, n2 to Charlie) named by TABLE2, ``run_nparty_bell`` at
+3..6.  Each runner enumerates every branch exactly (no sampling) from the
+compiled 2x2 operators, recording per branch the outcome labels, joint
+probability, the receiver's corrected state and its fidelity with the input.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
@@ -96,8 +99,13 @@ TABLE2_CORRECTIONS: dict[tuple[str, str], SingleQubitUnitary] = {
     ("ZMinus", "XMinus"): SIGMA_X,
 }
 
-# Receiver correction for the many-party runners, keyed on
-# (relative-sign flip needed, bit flip needed).
+#: The frozen tables by name.  A compile naming one takes each correction
+#: from it at (Alice outcome, helper parity).  "p2" keeps TABLE2 because on
+#: three rows the bell family's anchor rule gives ZX where it has XZ.
+FROZEN_TABLES = {"TABLE1": TABLE1_CORRECTIONS, "TABLE2": TABLE2_CORRECTIONS}
+
+# The bell family's anchor rule, keyed on (relative-sign flip needed, bit
+# flip needed).
 _PAULI_BY_FLAGS = {
     (False, False): IDENTITY,
     (False, True): SIGMA_X,
@@ -195,6 +203,41 @@ def _resolve_strategy(strategy: MStrategy | str) -> MStrategy:
         raise ValueError(f"unknown strategy {strategy!r}") from None
 
 
+def _split(z: complex) -> tuple[complex, int]:
+    # z = mantissa * 2**e, the mantissa's larger part in [0.5, 1)
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
+
+
+def _product_rule(weights: tuple[complex, ...], minus: bool) -> complex:
+    """m = prod(weights) for a minus rule, conj(1/prod(weights)) for a plus rule.
+
+    Where the plain product leaves the range of a double and no weight is 0,
+    a partial product may have over- or underflowed, so the product is
+    carried as a scaled mantissa and a binary exponent instead.
+    """
+    product = reduce(mul, weights, complex(1.0))
+    if 0 in weights or (product and cmath.isfinite(product)):
+        return product if minus else (1.0 / product).conjugate()
+    mantissa, exponent = complex(1.0), 0
+    for w in weights:
+        factor, e = _split(w)
+        mantissa, shift = _split(mantissa * factor)
+        exponent += e + shift
+    if not minus:
+        mantissa, exponent = (1.0 / mantissa).conjugate(), -exponent
+    try:
+        m = complex(math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent))
+    except OverflowError:
+        return complex(math.inf)
+    if max(abs(m.real), abs(m.imag)) < sys.float_info.min:
+        # m is 0 or subnormal: keep a zero of the plain rule, sign and all
+        plain = product if minus or not product else (1.0 / product).conjugate()
+        if plain == 0:
+            return plain
+    return m
+
+
 def choose_m(
     strategy: MStrategy | str,
     *,
@@ -211,7 +254,9 @@ def choose_m(
     receiver's: with the default Charlie receiver these are the runner's
     ``n1``/``n2``, and with a Bob receiver they are its ``n2``/``n1``.  Only
     the ratio rules (z/g) tell the two apart.  Conjugations are applied
-    literally: a rule written m* = 1/n yields conj(1/n).
+    literally: a rule written m* = 1/n yields conj(1/n).  A weight the rule
+    divides by that is exactly 0 raises ``DegenerateChannelError``; an m
+    beyond the range of a double raises ``ValueError``.
     """
     s = _resolve_strategy(strategy)
     try:
@@ -220,31 +265,35 @@ def choose_m(
                 raise ValueError(f"strategy {s.name!r} needs the channel weight n")
             n = complex(n)
             if s.name == "phi-plus":
-                return (1.0 / n).conjugate()
-            if s.name == "phi-minus":
-                return n
-            if s.name == "psi-plus":
-                return n.conjugate()
-            return 1.0 / n  # psi-minus
-
-        if ns is None:
-            if n1 is None or n2 is None:
-                raise ValueError(f"strategy {s.name!r} needs channel weights n1 and n2")
-            ns = (n1, n2)
-        weights = tuple(complex(x) for x in ns)
-        product = reduce(mul, weights, complex(1.0))
-        if s.name in PRODUCT_RULES:
-            return product if s.name.endswith("minus") else (1.0 / product).conjugate()
-        if len(weights) != 2:
-            raise ValueError(f"strategy {s.name!r} applies to exactly two channels")
-        first, second = weights
-        if s.name in ("z-plus", "g-plus"):
-            return (first / second).conjugate()
-        return second / first  # z-minus / g-minus
+                m = (1.0 / n).conjugate()
+            elif s.name == "phi-minus":
+                m = n
+            elif s.name == "psi-plus":
+                m = n.conjugate()
+            else:
+                m = 1.0 / n  # psi-minus
+        else:
+            if ns is None:
+                if n1 is None or n2 is None:
+                    raise ValueError(f"strategy {s.name!r} needs channel weights n1 and n2")
+                ns = (n1, n2)
+            weights = tuple(complex(x) for x in ns)
+            if s.name in PRODUCT_RULES:
+                m = _product_rule(weights, s.name.endswith("minus"))
+            elif len(weights) != 2:
+                raise ValueError(f"strategy {s.name!r} applies to exactly two channels")
+            elif s.name in ("z-plus", "g-plus"):
+                m = (weights[0] / weights[1]).conjugate()
+            else:
+                m = weights[1] / weights[0]  # z-minus / g-minus
     except ZeroDivisionError:
         raise DegenerateChannelError(
             f"strategy {s.name!r} is undefined for a vanishing channel weight"
         ) from None
+    if not cmath.isfinite(m):
+        raise ValueError(f"strategy {s.name!r} puts the basis weight m beyond the range "
+                         "of a double for these channel weights")
+    return m
 
 
 def strategy_targets(strategy: MStrategy | str, *, real: bool = True) -> frozenset[str]:
@@ -301,52 +350,52 @@ class CompiledProtocol:
 
 
 @lru_cache(maxsize=64)
-def _layout(protocol: str, num_parties: int, receiver: int):
+def _layout(family: str, num_parties: int, receiver: int, table: str | None):
     """The weight-independent part: labels, corrections and classical bits.
 
-    The corrections are the rules the runners' docstrings state.
+    The corrections are the named frozen table at (Alice outcome, helper
+    parity), or without a table the bell family's anchor rule.
     """
-    ghz_family = protocol in ("p1", "nparty-ghz")
-    alice = BELL_LABELS if ghz_family else pair_labels(num_parties)
+    alice = BELL_LABELS if family == "ghz" else pair_labels(num_parties)
     anchors = dict(zip(pair_labels(num_parties), pair_anchors(num_parties)))
 
     def correct(alice_label: str, helper_labels: tuple[str, ...]) -> SingleQubitUnitary:
-        odd_parity = helper_labels.count("XMinus") % 2 == 1
-        if ghz_family:
-            return TABLE1_CORRECTIONS[(alice_label, "XMinus" if odd_parity else "XPlus")]
-        if protocol == "p2":
-            return TABLE2_CORRECTIONS[(alice_label, helper_labels[0])]
+        parity = helper_labels.count("XMinus") % 2
+        if table is not None:
+            return FROZEN_TABLES[table][(alice_label, X_LABELS[parity])]
         anchor, is_minus = anchors[alice_label]
-        return _PAULI_BY_FLAGS[(odd_parity ^ is_minus, bool(anchor[0] ^ anchor[receiver]))]
+        return _PAULI_BY_FLAGS[(bool(parity) ^ is_minus, bool(anchor[0] ^ anchor[receiver]))]
 
     helpers = list(product(X_LABELS, repeat=num_parties - 2))
     branches = [(a, h) for a in alice for h in helpers]
     corrections = tuple(correct(a, h) for a, h in branches)
     matrices = np.stack([c.matrix for c in corrections])
     matrices.flags.writeable = False
-    bits = num_parties if ghz_family else 2 * num_parties - 2  # Alice's, one per helper
+    bits = len(alice).bit_length() - 1 + num_parties - 2  # Alice's, one per helper
     return (tuple(a for a, _ in branches), tuple(h for _, h in branches),
             corrections, bits, matrices)
 
 
 @lru_cache(maxsize=16)
 def compile_protocol(
-    protocol: str,
+    family: str,
     weights: tuple[complex, ...],
     m: complex,
     num_parties: int,
     receiver: int,
+    table: str | None,
 ) -> CompiledProtocol:
-    """Contract a protocol's channel with every joint measurement outcome once.
+    """Contract a channel family's channel with every joint outcome once.
 
-    ``weights`` is (n,) for the GHZ-type channel of "p1" and "nparty-ghz",
-    and one weight per party for the Bell-type channels of "p2" and
-    "nparty-bell".  Parties are 1..num_parties-1; ``receiver`` receives and
-    the others help.  ``compile_params`` validates the arguments.
+    ``weights`` is (n,) for the "ghz" family and one weight per party for
+    the "bell" family.  Parties are 1..num_parties-1; ``receiver`` receives
+    and the others help.  ``table`` names the ``FROZEN_TABLES`` entry giving
+    the corrections ("TABLE1" for ghz); None gives the bell family's anchor
+    rule.  ``compile_params`` validates the arguments.
     """
     alice_labels, helper_labels, corrections, bits, matrices = _layout(
-        protocol, num_parties, receiver)
-    if protocol in ("p1", "nparty-ghz"):
+        family, num_parties, receiver, table)
+    if family == "ghz":
         basis = generalized_bell_basis(m)
         # register (Alice's channel qubit, party 1, ..., party N-1)
         channel = channel_ghz(weights[0], num_qubits=num_parties).amplitudes.reshape(2, -1)
@@ -370,6 +419,10 @@ def compile_protocol(
     return CompiledProtocol(alice_labels, helper_labels, corrections, bits, operators)
 
 
+#: The fewest and most parties each channel family's runners take.
+PARTY_CAPS = {"ghz": (3, 10), "bell": (3, 6)}
+
+
 def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, dict, str]:
     """Validate a runner parameter set and compile it.
 
@@ -387,35 +440,38 @@ def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, di
         receiver = params.get("receiver", "charlie")
         if receiver not in ("bob", "charlie"):
             raise ValueError(f"receiver must be 'bob' or 'charlie', got {receiver!r}")
-        charlie = receiver == "charlie"
-        if protocol == "p1":
-            n = complex(params["n"])
-            compiled = compile_protocol("p1", (n,), m, 3, 2 if charlie else 1)
-            return compiled, {"n": n, "m": m}, receiver
-        # a Bob receiver swaps the (channel, party) pairs
+        index = None  # the last party; a Bob receiver of "p2" swaps the channels
+    else:
+        receiver, index = None, params.get("receiver_index")
+    if protocol in ("p1", "nparty-ghz"):
+        family, table, weights = "ghz", "TABLE1", (complex(params["n"]),)
+        num_parties = 3 if protocol == "p1" else int(params["parties"])
+        run_params = {"n": weights[0], "m": m}
+        if protocol == "nparty-ghz":
+            run_params["parties"] = num_parties
+    elif protocol == "p2":
         n1, n2 = complex(params["n1"]), complex(params["n2"])
-        compiled = compile_protocol("p2", (n1, n2) if charlie else (n2, n1), m, 3, 2)
-        return compiled, {"n1": n1, "n2": n2, "m": m}, receiver
-
-    if protocol == "nparty-ghz":
-        num_parties = int(params["parties"])
-        if not 3 <= num_parties <= 10:
-            raise ValueError("num_parties must be between 3 and 10")
-        weights = (complex(params["n"]),)
-        run_params = {"n": weights[0], "m": m, "parties": num_parties}
+        family, table, num_parties = "bell", "TABLE2", 3
+        weights = (n1, n2) if receiver == "charlie" else (n2, n1)
+        run_params = {"n1": n1, "n2": n2, "m": m}
     elif protocol == "nparty-bell":
-        weights = tuple(complex(x) for x in params["ns"])
+        family, table, weights = "bell", None, tuple(complex(x) for x in params["ns"])
         num_parties = len(weights) + 1
-        if not 3 <= num_parties <= 6:
-            raise ValueError("need 2..5 channel weights (3..6 parties)")
         run_params = {"ns": weights, "m": m}
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    index = params.get("receiver_index")
+    low, high = PARTY_CAPS[family]
+    if not low <= num_parties <= high:
+        raise ValueError(f"{protocol} takes {low}..{high} parties, got {num_parties}")
     r = num_parties - 1 if index is None else int(index)
     if not 1 <= r <= num_parties - 1:
         raise ValueError(f"receiver_index {r} out of range for {num_parties} parties")
-    return compile_protocol(protocol, weights, m, num_parties, r), run_params, f"party{r}"
+    name = receiver or f"party{r}"
+    if family == "ghz":
+        # the GHZ-type channel is symmetric in the parties: one instrument
+        # serves every receiver
+        r = num_parties - 1
+    return compile_protocol(family, weights, m, num_parties, r, table), run_params, name
 
 
 def _branches(compiled: CompiledProtocol, source: InputQubit) -> tuple[BranchRecord, ...]:

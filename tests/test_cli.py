@@ -122,6 +122,33 @@ def test_non_finite_weights_exit_2_without_output(args):
     assert "finite" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, strategy",
+    [
+        (("--protocol", "p2", "--n1", "1e-200", "--n2", "1e-200"), "ghz-plus"),
+        (("--protocol", "p2", "--n1", "1e200", "--n2", "1e200"), "ghz-minus"),
+        (("--protocol", "p1", "--n", "5e-324"), "phi-plus"),
+        (("--protocol", "nparty-bell", "--n-list", "1e200j,1e200"), "ghz-minus"),
+    ],
+    ids=("product-underflow", "product-overflow", "inverse-overflow", "complex-overflow"),
+)
+def test_strategy_beyond_double_range_exits_2_naming_it(args, strategy):
+    # no weight is 0, so the rule is not degenerate; its m is no double
+    result = invoke("run", *args, "--m", f"strategy:{strategy}", "--input", "1,0,0,0")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"strategy '{strategy}'" in result.stderr and "(inf" not in result.stderr
+
+
+def test_product_rule_survives_a_partial_underflow():
+    # 1e-200 * 1e-200 underflows on the way, but the product 1e-100 does not
+    # (exit 3 before: the underflow read as a vanishing weight)
+    result = invoke("run", "--protocol", "nparty-bell", "--n-list", "1e-200,1e-200,1e300",
+                    "--m", "strategy:ghz-plus", "--input", "0.6,0,0.8,0")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["params"]["m"] == pytest.approx(1e100, rel=1e-15)
+
+
 def test_render_json_refuses_non_finite_floats():
     from qsts.cli import render_json
 

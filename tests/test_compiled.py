@@ -4,6 +4,7 @@ strategies' unit-fidelity targets over the whole weight space."""
 
 import cmath
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -46,18 +47,18 @@ def _compiled_cases(weights):
     cases = []
     for name, r in (("charlie", 2), ("bob", 1)):
         cases.append((lambda q, name=name: run_protocol1(q, a, b, name),
-                      ("p1", (complex(a),), complex(b), 3, r)))
+                      ("ghz", (complex(a),), complex(b), 3, r, "TABLE1")))
     for name, pair in (("charlie", (a, c)), ("bob", (c, a))):
         cases.append((lambda q, name=name: run_protocol2(q, a, c, b, name),
-                      ("p2", tuple(map(complex, pair)), complex(b), 3, 2)))
+                      ("bell", tuple(map(complex, pair)), complex(b), 3, 2, "TABLE2")))
     for parties in (3, 4, 5):
         for r in range(1, parties):
             cases.append((lambda q, p=parties, r=r: run_nparty_ghz(q, p, a, b, r),
-                          ("nparty-ghz", (complex(a),), complex(b), parties, r)))
+                          ("ghz", (complex(a),), complex(b), parties, r, "TABLE1")))
     for ns in ((a, c), (a, b, c)):
         for r in range(1, len(ns) + 1):
             cases.append((lambda q, ns=ns, r=r: run_nparty_bell(q, ns, b, r),
-                          ("nparty-bell", tuple(map(complex, ns)), complex(b), len(ns) + 1, r)))
+                          ("bell", tuple(map(complex, ns)), complex(b), len(ns) + 1, r, None)))
     return cases
 
 
@@ -113,6 +114,43 @@ def test_cache_hit_is_bitwise_equal_to_fresh_compile():
 
 def test_cache_is_bounded():
     assert compile_protocol.cache_info().maxsize == 16
+
+
+def _same_instrument(a, b):
+    return (a.alice_labels == b.alice_labels and a.helper_labels == b.helper_labels
+            and a.classical_bits == b.classical_bits
+            and all(x is y for x, y in zip(a.corrections, b.corrections))
+            and a.operators.tobytes() == b.operators.tobytes())
+
+
+@pytest.mark.parametrize("n, m", [(0.45, 1.3), (0.5 + 0.3j, 0.9j), (0.0, 0.6), (0.6, 0.0),
+                                  (1e-300, -0.7), (1e300, 0.4 - 0.2j)])
+def test_ghz_instrument_is_the_same_at_every_receiver(n, m):
+    # why compile_params compiles the ghz family once for all receivers
+    for parties in range(3, 11):
+        first = compile_protocol("ghz", (complex(n),), complex(m), parties, 1, "TABLE1")
+        for r in range(2, parties):
+            other = compile_protocol("ghz", (complex(n),), complex(m), parties, r, "TABLE1")
+            assert _same_instrument(first, other), (parties, r)
+
+
+def _record(run):
+    return [(b.alice_label, b.helper_labels, b.probability, b.fidelity, b.correction.name,
+             None if b.receiver_state is None else b.receiver_state.amplitudes.tobytes(),
+             b.classical_bits) for b in run.branches]
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
+def test_p1_is_the_ghz_preset_at_three_parties(case):
+    n, m, _ = WEIGHT_CASES[case]
+    for source in (SOURCE, InputQubit(1.0, 0.0), InputQubit(0.0, 1.0)):
+        for name, index in (("bob", 1), ("charlie", 2)):
+            p1 = run_protocol1(source, n, m, name)
+            ghz = run_nparty_ghz(source, 3, n, m, index)
+            assert _record(p1) == _record(ghz), (case, name)
+            assert (p1.protocol, p1.params, p1.receiver) == ("p1", {"n": n, "m": m}, name)
+            assert (ghz.protocol, ghz.params, ghz.receiver) == (
+                "nparty-ghz", {"n": n, "m": m, "parties": 3}, f"party{index}")
 
 
 # ── edge weights ─────────────────────────────────────────────────────────
@@ -189,21 +227,40 @@ extreme_weights = st.one_of(
 )
 
 
+_LOG10_MAX = math.log10(sys.float_info.max)
+
+
+def _log10_size(strategy, channel):
+    """log10 |m| of the strategy's exact rule, from the weights' sizes."""
+    sizes = {key: math.log10(abs(value)) for key, value in channel.items() if key != "ns"}
+    if strategy in ("phi-plus", "psi-minus"):
+        return -sizes["n"]
+    if strategy in ("phi-minus", "psi-plus"):
+        return sizes["n"]
+    if strategy in PRODUCT_RULES:
+        total = math.fsum(math.log10(abs(w)) for w in channel.get("ns", ()))
+        total += sizes.get("n1", 0.0) + sizes.get("n2", 0.0)
+        return total if strategy.endswith("minus") else -total
+    ratio = sizes["n1"] - sizes["n2"]
+    return ratio if strategy.endswith("plus") else -ratio
+
+
 def _assert_live_targets_exact(strategy, channel, run, targets):
     """Run at the strategy's m: every live target branch has fidelity 1.
 
-    An m that overflows is refused as a non-finite weight.  A product rule
-    whose weights' product underflows to 0 is refused as degenerate.
+    No drawn weight is 0, so no rule is degenerate.  ``choose_m`` itself
+    refuses, naming the strategy, an m beyond the range of a double, and
+    only such an m.
     """
     try:
         m = choose_m(strategy, **channel)
     except DegenerateChannelError:
-        assert strategy in PRODUCT_RULES  # no drawn weight is 0
+        raise
+    except ValueError as exc:
+        assert repr(strategy) in str(exc)
+        assert _log10_size(strategy, channel) > _LOG10_MAX - 0.5, (strategy, channel)
         return
-    if not cmath.isfinite(m):
-        with pytest.raises(ValueError, match="finite"):
-            run(m=m)
-        return
+    assert cmath.isfinite(m)
     for branch in run(m=m).branches:
         if branch.alice_label in targets and branch.receiver_state is not None:
             assert branch.fidelity >= SUCCESS_FIDELITY, (strategy, channel, branch.alice_label)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_haar_rate
 from qsts import (
@@ -22,6 +24,8 @@ from qsts import (
     run_protocol2,
     transmission_sum,
 )
+from qsts.efficiency import _closed_form
+from qsts.protocols import compile_params
 
 EXTREME_WEIGHTS = (1e155, 1e300, -1e308, 1e-300)
 
@@ -94,9 +98,9 @@ def test_closed_forms_finite_at_extreme_weights(x):
                  cpro2_analytic(1.0, 0.5, x)):
         assert rate == pytest.approx(2 / 3, abs=1e-15)
     # and the engine's exact Haar rate at the same weights agrees
-    p1 = compile_protocol("p1", (complex(x),), complex(0.5), 3, 2)
+    p1 = compile_protocol("ghz", (complex(x),), complex(0.5), 3, 2, "TABLE1")
     assert exact_haar_rate(p1) == pytest.approx(cpro1_analytic(x, 0.5), abs=1e-14)
-    p2 = compile_protocol("p2", (complex(x), complex(0.5)), complex(0.8), 3, 2)
+    p2 = compile_protocol("bell", (complex(x), complex(0.5)), complex(0.8), 3, 2, "TABLE2")
     assert exact_haar_rate(p2) == pytest.approx(cpro2_analytic(x, 0.5, 0.8), abs=1e-14)
 
 
@@ -254,12 +258,14 @@ def test_mc_honours_the_receiver():
     charlie = cpro_monte_carlo("p2", params, 200, 5)
     assert abs(bob.estimate - charlie.estimate) > 1e-3
     assert abs(bob.estimate - _reference_mc("p2", {**params, "receiver": "bob"}, 200, 5)[0]) <= 1e-14
-    # the many-party rate does not depend on the receiver, so check that the
-    # receiver's instrument is the one compiled
+    # the GHZ-type channel is symmetric in the parties, so every receiver
+    # resolves to one cached instrument: one miss, then hits
     compile_protocol.cache_clear()
-    cpro_monte_carlo("nparty-ghz", {"parties": 4, "n": 0.5, "m": 0.7, "receiver_index": 1}, 10, 3)
-    compile_protocol("nparty-ghz", (0.5,), 0.7, 4, 1)
-    assert compile_protocol.cache_info().hits == 1
+    for r in (1, 3, 1):
+        cpro_monte_carlo("nparty-ghz", {"parties": 4, "n": 0.5, "m": 0.7, "receiver_index": r},
+                         10, 3)
+    info = compile_protocol.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -300,9 +306,9 @@ def test_exact_rate_equals_closed_forms(rng):
     for _ in range(200):
         n, m, n2 = rng.uniform(-3.0, 3.0, size=3)
         for r in (1, 2):
-            p1 = compile_protocol("p1", (complex(n),), complex(m), 3, r)
+            p1 = compile_protocol("ghz", (complex(n),), complex(m), 3, r, "TABLE1")
             assert abs(exact_haar_rate(p1) - cpro1_analytic(n, m)) <= 1e-14
-        p2 = compile_protocol("p2", (complex(n), complex(n2)), complex(m), 3, 2)
+        p2 = compile_protocol("bell", (complex(n), complex(n2)), complex(m), 3, 2, "TABLE2")
         assert abs(exact_haar_rate(p2) - cpro2_analytic(n, n2, m)) <= 1e-14
 
 
@@ -310,7 +316,7 @@ def test_exact_rate_of_nparty_ghz_is_the_p1_form(rng):
     for parties in range(3, 11):
         n, m = rng.uniform(-3.0, 3.0, size=2)
         for r in range(1, parties):
-            compiled = compile_protocol("nparty-ghz", (complex(n),), complex(m), parties, r)
+            compiled = compile_protocol("ghz", (complex(n),), complex(m), parties, r, "TABLE1")
             assert abs(exact_haar_rate(compiled) - cpro1_analytic(n, m)) <= 1e-14
 
 
@@ -320,9 +326,38 @@ def test_exact_rate_of_nparty_bell_is_the_product_form(rng):
         m = rng.uniform(-3.0, 3.0)
         expected = (2 / 3) * (1 + _c(m) * np.prod([_c(x) for x in ns]) / 2)
         for r in range(1, parties):
-            compiled = compile_protocol("nparty-bell", tuple(map(complex, ns)),
-                                        complex(m), parties, r)
+            compiled = compile_protocol("bell", tuple(map(complex, ns)), complex(m), parties, r,
+                                        None)
             assert abs(exact_haar_rate(compiled) - expected) <= 1e-14
+
+
+real_weights = st.one_of(
+    st.just(0.0),
+    st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+              st.floats(-300.0, 300.0), st.sampled_from((1.0, -1.0))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=real_weights, m=real_weights, more=st.lists(real_weights, min_size=4, max_size=4))
+def test_exact_rate_equals_the_closed_form_over_the_weight_space(n, m, more):
+    cases = []
+    for receiver in ("bob", "charlie"):
+        cases.append(("p1", {"n": n, "m": m, "receiver": receiver}, (n, m)))
+        cases.append(("p2", {"n1": n, "n2": more[0], "m": m, "receiver": receiver},
+                      (n, more[0], m)))
+    for parties in range(3, 11):
+        for r in range(1, parties):
+            cases.append(("nparty-ghz", {"parties": parties, "n": n, "m": m,
+                                         "receiver_index": r}, (n, m)))
+    for parties in range(3, 7):
+        ns = (n, *more)[:parties - 1]
+        for r in range(1, parties):
+            cases.append(("nparty-bell", {"ns": ns, "m": m, "receiver_index": r}, (*ns, m)))
+    for protocol, params, weights in cases:
+        compiled, _, _ = compile_params(protocol, params)
+        assert abs(exact_haar_rate(compiled) - _closed_form(*weights)) <= 1e-14, (
+            protocol, params)
 
 
 @pytest.mark.parametrize(
@@ -349,8 +384,7 @@ def test_seeded_mc_within_five_standard_errors_of_exact_rate(protocol, weights, 
         params = {"parties": parties, "n": weights[0], "m": m}
     else:
         params = {"ns": weights, "m": m}
-    exact = exact_haar_rate(compile_protocol(protocol, tuple(map(complex, weights)),
-                                             complex(m), parties, parties - 1))
+    exact = exact_haar_rate(compile_params(protocol, params)[0])
     report = cpro_monte_carlo(protocol, params, 4000, 77)
     assert abs(report.estimate - exact) <= 5 * report.std_error
 

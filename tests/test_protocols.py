@@ -279,15 +279,16 @@ def _same_gate(gate, frozen):
 
 def test_derived_corrections_match_the_frozen_tables():
     # p1 and nparty-ghz: TABLE1 at (Alice outcome, parity of the helpers' XMinus count)
-    cases = [("p1", 3, r) for r in (1, 2)]
-    cases += [("nparty-ghz", n, r) for n in range(3, 11) for r in range(1, n)]
-    for protocol, parties, receiver in cases:
-        compiled = compile_protocol(protocol, (0.5,), 0.7, parties, receiver)
+    cases = [("p1", {"n": 0.5, "m": 0.7, "receiver": r}) for r in ("bob", "charlie")]
+    cases += [("nparty-ghz", {"parties": n, "n": 0.5, "m": 0.7, "receiver_index": r})
+              for n in range(3, 11) for r in range(1, n)]
+    for protocol, params in cases:
+        compiled, _, _ = compile_params(protocol, params)
         for alice, helpers, gate in zip(compiled.alice_labels, compiled.helper_labels,
                                         compiled.corrections):
             parity = "XMinus" if helpers.count("XMinus") % 2 else "XPlus"
             assert _same_gate(gate, TABLE1_CORRECTIONS[(alice, parity)]), (
-                protocol, parties, receiver, alice, helpers)
+                protocol, params, alice, helpers)
     for receiver in ("bob", "charlie"):
         compiled, _, _ = compile_params("p2", {"n1": 0.5, "n2": 0.3, "m": 0.7,
                                                "receiver": receiver})
@@ -296,7 +297,7 @@ def test_derived_corrections_match_the_frozen_tables():
             assert _same_gate(gate, TABLE2_CORRECTIONS[(alice, helper)])
 
     # nparty-bell at N = 3: the anchor rule is TABLE2 up to a global phase
-    compiled = compile_protocol("nparty-bell", (0.5, 0.3), 0.7, 3, 2)
+    compiled = compile_protocol("bell", (0.5, 0.3), 0.7, 3, 2, None)
     renamed = []
     for alice, (helper,), gate in zip(compiled.alice_labels, compiled.helper_labels,
                                       compiled.corrections):
