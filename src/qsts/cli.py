@@ -122,9 +122,23 @@ def _parse_complex(text: str, flag: str) -> complex:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of a seed: numpy takes only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _parse_input(text: str, default_seed: int) -> InputQubit:
     if text == "haar" or text.startswith("haar:"):
-        seed = default_seed if text == "haar" else int(text.split(":", 1)[1])
+        try:
+            seed = default_seed if text == "haar" else _seed(text.split(":", 1)[1])
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(f"--input: {exc}") from None
         return haar_sample(np.random.default_rng(seed))
     parts = text.split(",")
     if len(parts) != 4:
@@ -366,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--receiver", help="bob|charlie or a party index")
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
     p_run.add_argument("--out", help="output path (default stdout)")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_seed, default=0)
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify-tables",
@@ -380,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("p1", "p2", "nparty-ghz", "nparty-bell"))
     _add_channel_flags(p_eff)
     p_eff.add_argument("--samples", type=int, default=10000)
-    p_eff.add_argument("--seed", type=int, default=0)
+    p_eff.add_argument("--seed", type=_seed, default=0)
     p_eff.add_argument("--threads", type=int,
                        help="accepted and ignored: the estimator runs in one thread")
     p_eff.add_argument("--analytic-only", action="store_true",
@@ -401,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="basis weight: number, strategy:<name>, or the "
                               "swept parameter's name to track it")
     p_sweep.add_argument("--samples", type=int, default=10000)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=_seed, default=0)
     p_sweep.add_argument("--out", help="output path (default stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)
 

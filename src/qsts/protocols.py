@@ -6,12 +6,16 @@ qubits in the weight-m Bell family; and "bell", one Bell-type channel per
 party, with Alice measuring her input and her half of every channel in the
 weight-m paired family.  The helpers X-measure, and the receiver applies a
 frozen table's correction at (Alice outcome, helper parity) or the bell
-family's anchor rule.  ``run_protocol1`` is the ghz family at three parties,
-``run_nparty_ghz`` at 3..10; ``run_protocol2`` is the bell family at three
-parties (n1 to Bob, n2 to Charlie) named by TABLE2, ``run_nparty_bell`` at
-3..6.  Each runner enumerates every branch exactly (no sampling) from the
-compiled 2x2 operators, recording per branch the outcome labels, joint
-probability, the receiver's corrected state and its fidelity with the input.
+family's anchor rule.  Every measured and channel ket pairs an anchor s
+with its complement, so a branch operator is two terms in closed form:
+``_layout`` places them once per (family, N, receiver, table), and
+``compile_protocol`` fills them from the weights and checks completeness.
+``run_protocol1`` is the ghz family at three parties, ``run_nparty_ghz`` at
+3..10; ``run_protocol2`` is the bell family at three parties (n1 to Bob, n2
+to Charlie) named by TABLE2, ``run_nparty_bell`` at 3..6.  Each runner
+enumerates every branch exactly (no sampling) from the compiled operators,
+recording per branch the outcome labels, joint probability, the receiver's
+corrected state and its fidelity with the input.
 """
 
 from __future__ import annotations
@@ -27,24 +31,22 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bases import (
-    BELL_LABELS,
-    X_LABELS,
+from .bases import BELL_LABELS, X_LABELS, _weight_norm, pair_anchors, pair_labels
+# The basis and channel constructors, ``measure``, ``tensor`` and ``fidelity``
+# are no longer called here; they stay bound because perfbench/spans.py
+# patches each layer at the names its callers bind.
+from .bases import (  # noqa: F401
     channel_bell,
     channel_ghz,
     generalized_bell_basis,
-    generalized_ghz_basis,  # noqa: F401
+    generalized_ghz_basis,
     generalized_pair_basis,
-    pair_anchors,
-    pair_labels,
     x_basis,
 )
-# ``measure``, ``tensor``, ``fidelity`` and ``generalized_ghz_basis`` are no
-# longer called here; they stay bound because perfbench/spans.py patches each
-# layer at the names its callers bind.
 from .measurement import measure  # noqa: F401
 from .states import (
     IDENTITY,
+    NORM_ATOL,
     SIGMA_X,
     SIGMA_X_SIGMA_Z,
     SIGMA_Z,
@@ -337,9 +339,11 @@ class CompiledProtocol:
     ``operators[j]`` is the 2x2 operator K_j = C_j M_j taking the input
     (alpha, beta) to branch j's unnormalised corrected receiver qubit: M_j
     is the measurement residue and C_j = ``corrections[j]`` a Pauli product
-    with entries 0 and +-1, so K_j is a signed row permutation of M_j.
-    Branch j occurs with probability |K_j psi|^2 (bitwise equal to
-    |M_j psi|^2), and sum_j K_j^dagger K_j = I.
+    with entries 0 and +-1.  Every measured ket pairs an anchor s with its
+    complement, so K_j has exactly two nonzero entries, one per row and
+    column, each a bra coefficient times channel amplitudes times
+    +-2^(-(N-2)/2).  Branch j occurs with probability |K_j psi|^2, and
+    sum_j K_j^dagger K_j = I to within ``NORM_ATOL``.
     """
 
     alice_labels: tuple[str, ...]
@@ -349,31 +353,55 @@ class CompiledProtocol:
     operators: np.ndarray
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # every (family, N, receiver, table) there is: 60
 def _layout(family: str, num_parties: int, receiver: int, table: str | None):
-    """The weight-independent part: labels, corrections and classical bits.
+    """The weight-independent part: labels, corrections, classical bits, terms.
 
     The corrections are the named frozen table at (Alice outcome, helper
-    parity), or without a table the bell family's anchor rule.
+    parity), or without a table the bell family's anchor rule.  Each branch
+    has two terms, Alice's anchor s and its complement.  Per term, ``where``
+    is its flat index in the (B, 2, 2) operator stack (corrected receiver
+    row, input column); ``gather`` its index in the compile's table of bra
+    coefficient times channel amplitude; and ``sign`` the correction's sign
+    times the helpers' X sign (-1)^(sum_h x_h s_h).
     """
-    alice = BELL_LABELS if family == "ghz" else pair_labels(num_parties)
-    anchors = dict(zip(pair_labels(num_parties), pair_anchors(num_parties)))
-
-    def correct(alice_label: str, helper_labels: tuple[str, ...]) -> SingleQubitUnitary:
-        parity = helper_labels.count("XMinus") % 2
-        if table is not None:
-            return FROZEN_TABLES[table][(alice_label, X_LABELS[parity])]
-        anchor, is_minus = anchors[alice_label]
-        return _PAULI_BY_FLAGS[(bool(parity) ^ is_minus, bool(anchor[0] ^ anchor[receiver]))]
-
-    helpers = list(product(X_LABELS, repeat=num_parties - 2))
-    branches = [(a, h) for a in alice for h in helpers]
-    corrections = tuple(correct(a, h) for a, h in branches)
-    matrices = np.stack([c.matrix for c in corrections])
-    matrices.flags.writeable = False
-    bits = len(alice).bit_length() - 1 + num_parties - 2  # Alice's, one per helper
-    return (tuple(a for a, _ in branches), tuple(h for _, h in branches),
-            corrections, bits, matrices)
+    channels = 1 if family == "ghz" else num_parties - 1
+    if family == "ghz":
+        # Bell pairs anchored at 00 and 01 on (input, channel qubit), the
+        # channel bit copied to every party
+        alice = BELL_LABELS
+        anchors = tuple(((0,) + (a,) * (num_parties - 1), minus)
+                        for a in (0, 1) for minus in (False, True))
+    else:
+        alice, anchors = pair_labels(num_parties), pair_anchors(num_parties)
+    branches = list(product(range(len(alice)), product((0, 1), repeat=num_parties - 2)))
+    # the correction depends on Alice's outcome and the helpers' parity only
+    if table is None:
+        by_parity = [[_PAULI_BY_FLAGS[(bool(parity) ^ is_minus, bool(s[0] ^ s[receiver]))]
+                      for parity in (0, 1)] for s, is_minus in anchors]
+    else:
+        by_parity = [[FROZEN_TABLES[table][(label, x)] for x in X_LABELS] for label in alice]
+    corrections = [by_parity[outcome][sum(xs) % 2] for outcome, xs in branches]
+    # axes (branch j, term: anchor then complement, ...)
+    anchor_bits, minus = map(np.array, zip(*anchors))
+    outcome, xs = map(np.array, zip(*branches))
+    bits = anchor_bits[outcome][:, None, :] ^ np.array([[0], [1]])
+    j = np.arange(len(branches))[:, None]
+    column = np.stack([c.matrix.real for c in corrections])[j, :, bits[..., receiver]]
+    row = np.abs(column).argmax(axis=-1)
+    where = 4 * j + 2 * row + bits[..., 0]
+    # bra slot (f, f m*, f m, -f)[2 is_minus + term], then the channel bits
+    slot = 2 * minus[outcome][:, None] + np.arange(2)
+    gather = (slot << channels) + bits[..., 1:1 + channels] @ (1 << np.arange(channels)[::-1])
+    helpers = [p for p in range(1, num_parties) if p != receiver]
+    x_sign = 1 - 2 * ((xs[:, None, :] * bits[..., helpers]).sum(axis=-1) % 2)
+    sign = np.take_along_axis(column, row[..., None], axis=-1)[..., 0] * x_sign
+    for array in (where, gather, sign):
+        array.flags.writeable = False
+    classical = len(alice).bit_length() - 1 + num_parties - 2  # Alice's, one per helper
+    return (tuple(alice[a] for a, _ in branches),
+            tuple(tuple(X_LABELS[x] for x in xs) for _, xs in branches),
+            tuple(corrections), classical, where, gather, sign)
 
 
 @lru_cache(maxsize=16)
@@ -385,36 +413,32 @@ def compile_protocol(
     receiver: int,
     table: str | None,
 ) -> CompiledProtocol:
-    """Contract a channel family's channel with every joint outcome once.
+    """Compile a channel family at fixed weights into its branch operators.
 
     ``weights`` is (n,) for the "ghz" family and one weight per party for
     the "bell" family.  Parties are 1..num_parties-1; ``receiver`` receives
     and the others help.  ``table`` names the ``FROZEN_TABLES`` entry giving
     the corrections ("TABLE1" for ghz); None gives the bell family's anchor
-    rule.  ``compile_params`` validates the arguments.
+    rule.  ``compile_params`` validates the arguments.  A non-finite weight,
+    or max|sum K^dagger K - I| > ``NORM_ATOL``, raises ``ValueError``.
     """
-    alice_labels, helper_labels, corrections, bits, matrices = _layout(
+    alice_labels, helper_labels, corrections, bits, where, gather, sign = _layout(
         family, num_parties, receiver, table)
-    if family == "ghz":
-        basis = generalized_bell_basis(m)
-        # register (Alice's channel qubit, party 1, ..., party N-1)
-        channel = channel_ghz(weights[0], num_qubits=num_parties).amplitudes.reshape(2, -1)
-    else:
-        basis = generalized_pair_basis(num_parties, m)
-        # Alice's halves against the parties' halves: each Bell-type channel
-        # pairs equal bits, so the product channel is diagonal
-        channel = np.diag(reduce(np.kron, [channel_bell(w).amplitudes[::3] for w in weights]))
-    outcomes = len(basis.states)
-    bras = np.conj([s.amplitudes for s in basis.states]).reshape(2 * outcomes, -1)
-    # axes (Alice outcome, input bit, party 1, ..., party N-1), then
-    # (Alice outcome, helper bits..., receiver bit, input bit)
-    residues = (bras @ channel).reshape((outcomes, 2) + (2,) * (num_parties - 1))
-    residues = np.moveaxis(residues, (1, 1 + receiver), (-1, -2))
-    x_bras = np.conj([s.amplitudes for s in x_basis().states])
-    for helper in range(num_parties - 2):
-        # replace this helper's bit by its X outcome, keeping the axis order
-        residues = x_bras @ residues.reshape(outcomes << helper, 2, -1)
-    operators = matrices @ residues.reshape(-1, 2, 2)
+    f = _weight_norm(m)
+    channel = np.ones(1, dtype=np.complex128)
+    for w in weights:
+        g = _weight_norm(w)
+        channel = np.multiply.outer(channel, (g, g * w)).ravel()
+    bras = np.array((f, f * m.conjugate(), f * m, -f))
+    operators = np.zeros((len(corrections), 2, 2), dtype=np.complex128)
+    products = np.multiply.outer(bras, channel).ravel()
+    for _ in range(num_parties - 2):
+        products *= 1.0 / math.sqrt(2.0)  # each helper's X bra, one factor at a time
+    operators.reshape(-1)[where] = products[gather] * sign
+    flat = operators.reshape(-1, 2)
+    residual = float(np.abs(flat.conj().T @ flat - IDENTITY.matrix).max())
+    if not residual <= NORM_ATOL:
+        raise ValueError(f"instrument not complete: max|sum K^dagger K - I| = {residual!r}")
     operators.flags.writeable = False
     return CompiledProtocol(alice_labels, helper_labels, corrections, bits, operators)
 

@@ -41,3 +41,19 @@ def exact_haar_rate(compiled) -> float:
     kraus = compiled.operators
     traces = np.trace(kraus, axis1=1, axis2=2)
     return float((np.sum(np.abs(traces) ** 2) + np.sum(np.abs(kraus) ** 2)) / 6.0)
+
+
+def exact_success(compiled, rtol: float = 1e-9) -> float:
+    """Input-independent success probability of a compiled instrument.
+
+    A branch transfers every input exactly when K_j is proportional to the
+    identity, and then occurs with probability tr(K_j^dagger K_j)/2 whatever
+    the input; the sum runs over those branches.  ``rtol`` bounds the
+    off-identity part of K_j relative to its largest entry.
+    """
+    total = 0.0
+    for kraus in compiled.operators:
+        off_identity = kraus - np.trace(kraus) / 2 * np.eye(2)
+        if np.abs(off_identity).max() <= rtol * np.abs(kraus).max():
+            total += float(np.sum(np.abs(kraus) ** 2)) / 2
+    return total

@@ -123,6 +123,27 @@ def test_non_finite_weights_exit_2_without_output(args):
 
 
 @pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("run", "--protocol", "p1", "--n", "0.5", "--m", "0.5", "--seed", "-3"), "--seed"),
+        (("run", "--protocol", "p1", "--n", "0.5", "--m", "0.5", "--input", "haar:-3"),
+         "--input"),
+        (("run", "--protocol", "p1", "--n", "0.5", "--m", "0.5", "--input", "haar:x"),
+         "--input"),
+        (("efficiency", "--protocol", "p1", "--n", "0.5", "--m", "0.5", "--seed=-1"), "--seed"),
+        (("sweep", "--protocol", "p1", "--param", "n", "--from", "0", "--to", "1",
+          "--steps", "2", "--m", "0.5", "--seed", "-2"), "--seed"),
+    ],
+    ids=("run-seed", "input-seed", "input-seed-not-a-number", "efficiency-seed", "sweep-seed"),
+)
+def test_negative_seed_exits_2_naming_the_flag(args, flag):
+    result = invoke(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert flag in result.stderr and "non-negative integer" in result.stderr
+
+
+@pytest.mark.parametrize(
     "args, strategy",
     [
         (("--protocol", "p2", "--n1", "1e-200", "--n2", "1e-200"), "ghz-plus"),

@@ -1,6 +1,7 @@
-"""The compiled branch instrument: completeness, branch identities, caching,
-the weight edges (zero, tiny, huge, non-finite) for every runner, and the
-strategies' unit-fidelity targets over the whole weight space."""
+"""The compiled branch instrument: completeness and its guard, the closed
+form against the dense reference, branch identities, caching, the weight
+edges (zero, tiny, huge, non-finite) for every runner, and the strategies'
+unit-fidelity targets over the whole weight space."""
 
 import cmath
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_run_matches_oracle
+from dense_reference import dense_compile
 from oracle import oracle_nparty_bell, oracle_nparty_ghz, oracle_protocol1, oracle_protocol2
 from qsts import (
     STRATEGIES,
@@ -28,6 +30,7 @@ from qsts import (
     run_protocol2,
     strategy_targets,
 )
+from qsts import protocols
 from qsts.protocols import PRODUCT_RULES
 
 SOURCE = InputQubit(0.6, 0.8j)
@@ -94,6 +97,56 @@ def test_instrument_complete_and_matches_branches(case):
             transmitted = abs(np.vdot(psi, k_j @ psi)) ** 2
             assert branch.probability * branch.fidelity == pytest.approx(
                 transmitted, rel=0, abs=1e-14), (key, branch.alice_label)
+
+
+# Every (family, parties, receiver) of the party caps, with the tables in use.
+COMPILE_LAYOUTS = (
+    [("ghz", n, r, "TABLE1") for n in range(3, 11) for r in range(1, n)]
+    + [("bell", 3, 2, "TABLE2")]
+    + [("bell", n, r, None) for n in range(3, 7) for r in range(1, n)]
+)
+
+special_weights = st.sampled_from(
+    (0.0, -0.0, 1.0, 1e-320, -1e-320, 1e-320j, 1e-300, 1e300, -1e300, 1e300j, 1e-300 + 1e300j))
+# real, complex, 0, subnormal and 1e+-300 weights
+compile_weights = st.one_of(
+    special_weights,
+    st.floats(-3.0, 3.0),
+    st.builds(cmath.rect, st.floats(0.0, 20.0), st.floats(0.0, 2 * math.pi)),
+    st.builds(lambda exponent, phase: cmath.rect(10.0 ** exponent, phase),
+              st.floats(-320.0, 300.0), st.floats(0.0, 2 * math.pi)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=compile_weights, ns=st.lists(compile_weights, min_size=5, max_size=5))
+def test_closed_form_matches_the_dense_reference(m, ns):
+    m = complex(m)
+    for family, parties, receiver, table in COMPILE_LAYOUTS:
+        weights = tuple(map(complex, ns[:1] if family == "ghz" else ns[:parties - 1]))
+        key = (family, weights, m, parties, receiver, table)
+        compiled = compile_protocol.__wrapped__(*key)
+        alice, helpers, corrections, bits, operators = dense_compile(*key)
+        assert (compiled.alice_labels, compiled.helper_labels, compiled.classical_bits) == (
+            alice, helpers, bits), key
+        assert all(a is b for a, b in zip(compiled.corrections, corrections, strict=True)), key
+        assert np.abs(compiled.operators - operators).max() <= 1e-15, key
+
+
+def test_completeness_guard_rejects_a_perturbed_instrument(monkeypatch):
+    key = ("bell", (0.5 + 0.2j, 0.7, -1.3), 0.8j, 4, 2, None)
+    compile_protocol.__wrapped__(*key)  # the intact instrument passes
+    layout = protocols._layout
+
+    def perturbed(*args):
+        *head, sign = layout(*args)
+        sign = sign.copy()
+        sign.flat[5] *= 1.0 + 1e-6  # one term off by a part in a million
+        return (*head, sign)
+
+    monkeypatch.setattr(protocols, "_layout", perturbed)
+    with pytest.raises(ValueError, match="not complete"):
+        compile_protocol.__wrapped__(*key)
 
 
 def test_cache_hit_is_bitwise_equal_to_fresh_compile():

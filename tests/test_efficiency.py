@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_haar_rate
+from conftest import exact_haar_rate, exact_success, generic_haar
 from qsts import (
+    STRATEGIES,
     choose_m,
     compare_protocols,
     compile_protocol,
@@ -25,7 +26,7 @@ from qsts import (
     transmission_sum,
 )
 from qsts.efficiency import _closed_form
-from qsts.protocols import compile_params
+from qsts.protocols import PRODUCT_RULES, compile_params
 
 EXTREME_WEIGHTS = (1e155, 1e300, -1e308, 1e-300)
 
@@ -403,6 +404,48 @@ def test_success_only_sum_reproduces_strategy_success_probability(rng):
         assert success_sum == pytest.approx(run.success_probability, abs=1e-15)
         assert success_sum == pytest.approx(0.32, abs=1e-12)
         assert transmission_sum(run) >= success_sum
+
+
+def _strategy_cases():
+    """(protocol, params) at every strategy's m: p1/p2 at both receivers,
+    the product rules on nparty-bell at 3..5 parties and every receiver."""
+    cases = []
+    for name, strategy in STRATEGIES.items():
+        for receiver in ("bob", "charlie"):
+            if strategy.protocol == "p1":
+                for n in (0.4, -1.7, 0.5 + 0.3j):
+                    cases.append(("p1", {"n": n, "m": choose_m(name, n=n),
+                                         "receiver": receiver}))
+                continue
+            for n1, n2 in ((0.4, 0.7), (-1.3, 0.6 + 0.2j)):
+                # choose_m takes the helper's channel as n1, the receiver's as n2
+                helper, own = (n2, n1) if receiver == "bob" else (n1, n2)
+                cases.append(("p2", {"n1": n1, "n2": n2, "m": choose_m(name, n1=helper, n2=own),
+                                     "receiver": receiver}))
+    for name in PRODUCT_RULES:
+        for ns in ((0.4, -0.7), (0.5 + 0.2j, 1.6, 0.3), (0.8, 0.45, -2.1, 0.6j)):
+            for r in range(1, len(ns) + 1):
+                cases.append(("nparty-bell", {"ns": ns, "m": choose_m(name, ns=ns),
+                                              "receiver_index": r}))
+    return cases
+
+
+def test_exact_success_is_the_runs_success_probability(rng):
+    inputs = [generic_haar(rng) for _ in range(4)]
+    for protocol, params in _strategy_cases():
+        expected = exact_success(compile_params(protocol, params)[0])
+        assert expected > 0.0, (protocol, params)
+        for qubit in inputs:
+            run = _runner(protocol, params)(qubit)
+            assert abs(run.success_probability - expected) <= 1e-12, (protocol, params)
+
+
+def test_exact_success_of_phi_plus_is_half_the_squared_concurrence():
+    for n in (0.4, 0.5, 1.7, -0.3):
+        compiled, _, _ = compile_params("p1", {"n": n, "m": choose_m("phi-plus", n=n)})
+        assert exact_success(compiled) == pytest.approx(concurrence(n) ** 2 / 2, abs=1e-14)
+    compiled, _, _ = compile_params("p1", {"n": 0.4, "m": choose_m("phi-plus", n=0.4)})
+    assert exact_success(compiled) == pytest.approx(0.237812128418549, abs=1e-14)
 
 
 # ── protocol comparison ──────────────────────────────────────────────────
