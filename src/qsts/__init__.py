@@ -68,9 +68,7 @@ from .states import (
     PureState,
     SingleQubitUnitary,
     apply_unitary,
-    basis_ket,
     fidelity,
-    inner_product,
     tensor,
 )
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -133,7 +132,6 @@ def generalized_pair_basis(num_qubits: int, m: complex | float) -> BasisSet:
     return _paired_basis(pair_labels(num_qubits), num_qubits, range(0, 1 << num_qubits, 2), m)
 
 
-@lru_cache(maxsize=1)
 def x_basis() -> BasisSet:
     """Single-qubit basis |X±> = (|0> ± |1>)/sqrt(2)."""
     s = 1.0 / math.sqrt(2.0)

@@ -139,6 +139,8 @@ def cpro_monte_carlo(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     compiled, _, _ = compile_params(protocol, params)
     kraus = compiled.operators
     transfer = np.einsum("jab,jcd->acbd", kraus, kraus.conj()).reshape(4, 4)

@@ -8,8 +8,8 @@ weight-m paired family.  The helpers X-measure, and the receiver applies a
 frozen table's correction at (Alice outcome, helper parity) or the bell
 family's anchor rule.  Every measured and channel ket pairs an anchor s
 with its complement, so a branch operator is two terms in closed form:
-``_layout`` places them once per (family, N, receiver, table), and
-``compile_protocol`` fills them from the weights and checks completeness.
+``_layout`` places them once per (family, N, receiver, table), and every
+``compile_protocol`` call fills them from the weights and checks completeness.
 ``run_protocol1`` is the ghz family at three parties, ``run_nparty_ghz`` at
 3..10; ``run_protocol2`` is the bell family at three parties (n1 to Bob, n2
 to Charlie) named by TABLE2, ``run_nparty_bell`` at 3..6.  Each runner
@@ -404,7 +404,6 @@ def _layout(family: str, num_parties: int, receiver: int, table: str | None):
             tuple(corrections), classical, where, gather, sign)
 
 
-@lru_cache(maxsize=16)
 def compile_protocol(
     family: str,
     weights: tuple[complex, ...],
@@ -419,8 +418,9 @@ def compile_protocol(
     the "bell" family.  Parties are 1..num_parties-1; ``receiver`` receives
     and the others help.  ``table`` names the ``FROZEN_TABLES`` entry giving
     the corrections ("TABLE1" for ghz); None gives the bell family's anchor
-    rule.  ``compile_params`` validates the arguments.  A non-finite weight,
-    or max|sum K^dagger K - I| > ``NORM_ATOL``, raises ``ValueError``.
+    rule.  ``compile_params`` validates the arguments.  Each call compiles
+    afresh from the cached layout.  A non-finite weight, or
+    max|sum K^dagger K - I| > ``NORM_ATOL``, raises ``ValueError``.
     """
     alice_labels, helper_labels, corrections, bits, where, gather, sign = _layout(
         family, num_parties, receiver, table)
@@ -491,10 +491,6 @@ def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, di
     if not 1 <= r <= num_parties - 1:
         raise ValueError(f"receiver_index {r} out of range for {num_parties} parties")
     name = receiver or f"party{r}"
-    if family == "ghz":
-        # the GHZ-type channel is symmetric in the parties: one instrument
-        # serves every receiver
-        r = num_parties - 1
     return compile_protocol(family, weights, m, num_parties, r, table), run_params, name
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -118,35 +117,16 @@ SIGMA_X_SIGMA_Z = SIGMA_X @ SIGMA_Z  # applies Z first, then X
 SIGMA_Z_SIGMA_X = SIGMA_Z @ SIGMA_X  # applies X first, then Z
 
 
-def basis_ket(num_qubits: int, bits: Sequence[int]) -> PureState:
-    """Computational basis state |bits>, leftmost bit = qubit 0."""
-    if len(bits) != num_qubits:
-        raise ValueError(f"need {num_qubits} bits, got {len(bits)}")
-    index = 0
-    for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {bit!r}")
-        index = (index << 1) | bit
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return PureState(num_qubits, amps)
-
-
 def tensor(a: PureState, b: PureState) -> PureState:
     """Composite state a ⊗ b; ``a``'s qubits become the leftmost ones."""
     return _fresh_state(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
-def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugating ``a``."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(f"qubit-count mismatch: {a.num_qubits} vs {b.num_qubits}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def fidelity(a: PureState, b: PureState) -> float:
     """|<a|b>|^2 — insensitive to a global phase of either argument."""
-    return min(abs(inner_product(a, b)) ** 2, 1.0)
+    if a.num_qubits != b.num_qubits:
+        raise ValueError(f"qubit-count mismatch: {a.num_qubits} vs {b.num_qubits}")
+    return min(abs(complex(np.vdot(a.amplitudes, b.amplitudes))) ** 2, 1.0)
 
 
 def apply_unitary(state: PureState, gate: SingleQubitUnitary, target: int) -> PureState:

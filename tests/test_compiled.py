@@ -1,7 +1,8 @@
 """The compiled branch instrument: completeness and its guard, the closed
-form against the dense reference, branch identities, caching, the weight
-edges (zero, tiny, huge, non-finite) for every runner, and the strategies'
-unit-fidelity targets over the whole weight space."""
+form against the dense reference, branch identities, a fresh compile on
+every call, the weight edges (zero, tiny, huge, non-finite) for every
+runner, and the strategies' unit-fidelity targets over the whole weight
+space."""
 
 import cmath
 import math
@@ -125,7 +126,7 @@ def test_closed_form_matches_the_dense_reference(m, ns):
     for family, parties, receiver, table in COMPILE_LAYOUTS:
         weights = tuple(map(complex, ns[:1] if family == "ghz" else ns[:parties - 1]))
         key = (family, weights, m, parties, receiver, table)
-        compiled = compile_protocol.__wrapped__(*key)
+        compiled = compile_protocol(*key)
         alice, helpers, corrections, bits, operators = dense_compile(*key)
         assert (compiled.alice_labels, compiled.helper_labels, compiled.classical_bits) == (
             alice, helpers, bits), key
@@ -135,7 +136,7 @@ def test_closed_form_matches_the_dense_reference(m, ns):
 
 def test_completeness_guard_rejects_a_perturbed_instrument(monkeypatch):
     key = ("bell", (0.5 + 0.2j, 0.7, -1.3), 0.8j, 4, 2, None)
-    compile_protocol.__wrapped__(*key)  # the intact instrument passes
+    compile_protocol(*key)  # the intact instrument passes
     layout = protocols._layout
 
     def perturbed(*args):
@@ -146,27 +147,18 @@ def test_completeness_guard_rejects_a_perturbed_instrument(monkeypatch):
 
     monkeypatch.setattr(protocols, "_layout", perturbed)
     with pytest.raises(ValueError, match="not complete"):
-        compile_protocol.__wrapped__(*key)
+        compile_protocol(*key)
 
 
-def test_cache_hit_is_bitwise_equal_to_fresh_compile():
-    compile_protocol.cache_clear()
-    fresh = run_nparty_bell(SOURCE, (0.4 + 0.1j, 0.7, -0.3), 0.55j)
-    assert compile_protocol.cache_info().misses == 1
-    hit = run_nparty_bell(SOURCE, (0.4 + 0.1j, 0.7, -0.3), 0.55j)
-    assert compile_protocol.cache_info().hits == 1
-    for a, b in zip(fresh.branches, hit.branches):
-        assert (a.alice_label, a.helper_labels, a.correction) == (
-            b.alice_label, b.helper_labels, b.correction)
-        assert a.probability == b.probability and a.fidelity == b.fidelity
-        if a.receiver_state is None:
-            assert b.receiver_state is None
-        else:
-            assert np.array_equal(a.receiver_state.amplitudes, b.receiver_state.amplitudes)
-
-
-def test_cache_is_bounded():
-    assert compile_protocol.cache_info().maxsize == 16
+def test_every_call_compiles_afresh():
+    # +0.0 and -0.0 compare and hash equal, so a compile cached on its
+    # arguments would hand the second call the first call's zero signs
+    weights = (0.5 + 0.2j, 0.7)
+    plus = compile_protocol("bell", weights, complex(0.0), 3, 2, None)
+    minus = compile_protocol("bell", weights, complex(-0.0), 3, 2, None)
+    assert np.array_equal(plus.operators, minus.operators)
+    signs = [np.signbit(c.operators.view(np.float64)) for c in (plus, minus)]
+    assert (signs[0] != signs[1]).any()
 
 
 def _same_instrument(a, b):
@@ -179,7 +171,7 @@ def _same_instrument(a, b):
 @pytest.mark.parametrize("n, m", [(0.45, 1.3), (0.5 + 0.3j, 0.9j), (0.0, 0.6), (0.6, 0.0),
                                   (1e-300, -0.7), (1e300, 0.4 - 0.2j)])
 def test_ghz_instrument_is_the_same_at_every_receiver(n, m):
-    # why compile_params compiles the ghz family once for all receivers
+    # the GHZ-type channel is symmetric in the parties
     for parties in range(3, 11):
         first = compile_protocol("ghz", (complex(n),), complex(m), parties, 1, "TABLE1")
         for r in range(2, parties):

@@ -259,14 +259,22 @@ def test_mc_honours_the_receiver():
     charlie = cpro_monte_carlo("p2", params, 200, 5)
     assert abs(bob.estimate - charlie.estimate) > 1e-3
     assert abs(bob.estimate - _reference_mc("p2", {**params, "receiver": "bob"}, 200, 5)[0]) <= 1e-14
-    # the GHZ-type channel is symmetric in the parties, so every receiver
-    # resolves to one cached instrument: one miss, then hits
-    compile_protocol.cache_clear()
-    for r in (1, 3, 1):
-        cpro_monte_carlo("nparty-ghz", {"parties": 4, "n": 0.5, "m": 0.7, "receiver_index": r},
-                         10, 3)
-    info = compile_protocol.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.complex_numbers(max_magnitude=20.0), m=st.complex_numbers(max_magnitude=20.0))
+def test_every_ghz_receiver_gives_the_same_instrument_and_estimate(n, m):
+    # the GHZ-type channel is symmetric in the parties
+    for parties in range(3, 11):
+        seen = set()
+        for r in range(1, parties):
+            params = {"parties": parties, "n": n, "m": m, "receiver_index": r}
+            compiled = compile_params("nparty-ghz", params)[0]
+            report = cpro_monte_carlo("nparty-ghz", params, 16, 7)
+            seen.add((compiled.alice_labels, compiled.helper_labels, compiled.classical_bits,
+                      tuple(c.name for c in compiled.corrections), compiled.operators.tobytes(),
+                      report.estimate.hex(), report.std_error.hex()))
+        assert len(seen) == 1, (parties, n, m)
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -295,6 +303,12 @@ def test_mc_rejects_exactly_what_the_runners_reject(protocol, params):
         _runner(protocol, params)(haar_sample(np.random.default_rng(0)))
     with pytest.raises(ValueError):
         cpro_monte_carlo(protocol, params, 10, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, -2**63])
+def test_mc_rejects_a_negative_seed_naming_it(seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+        cpro_monte_carlo("p1", {"n": 0.5, "m": 0.5}, 10, seed)
 
 
 # ── the exact Haar rate as an oracle ─────────────────────────────────────

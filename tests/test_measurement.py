@@ -8,7 +8,6 @@ import pytest
 from qsts import (
     InputQubit,
     PureState,
-    basis_ket,
     channel_ghz,
     generalized_bell_basis,
     generalized_ghz_basis,
@@ -42,7 +41,7 @@ def reconstruct(state, targets, outcomes, basis):
 
 def test_measure_00_in_standard_bell_basis():
     # |00> = (PhiPlus + PhiMinus)/sqrt(2) at weight 1
-    outcomes = measure(basis_ket(2, [0, 0]), [0, 1], generalized_bell_basis(1))
+    outcomes = measure(PureState(2, [1, 0, 0, 0]), [0, 1], generalized_bell_basis(1))
     probs = {o.label: o.probability for o in outcomes}
     assert probs["PhiPlus"] == pytest.approx(0.5, abs=1e-15)
     assert probs["PhiMinus"] == pytest.approx(0.5, abs=1e-15)
@@ -52,7 +51,7 @@ def test_measure_00_in_standard_bell_basis():
 
 
 def test_measure_x_plus_is_deterministic():
-    two = tensor(x_basis().states[0], basis_ket(1, [0]))
+    two = tensor(x_basis().states[0], PureState(1, [1, 0]))
     outcomes = measure(two, [0], x_basis())
     assert outcomes[0].probability == pytest.approx(1.0, abs=1e-15)
     assert outcomes[1].probability == pytest.approx(0.0, abs=1e-15)

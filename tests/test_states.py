@@ -1,6 +1,5 @@
 """State-vector algebra: construction, products, unitaries, fidelity."""
 
-import itertools
 import math
 
 import numpy as np
@@ -16,15 +15,14 @@ from qsts import (
     PureState,
     SingleQubitUnitary,
     apply_unitary,
-    basis_ket,
     channel_ghz,
     fidelity,
-    inner_product,
     tensor,
     x_basis,
 )
 
 S2 = 1.0 / math.sqrt(2.0)
+ZERO, ONE = PureState(1, [1, 0]), PureState(1, [0, 1])
 
 
 def random_state(rng, num_qubits):
@@ -33,27 +31,6 @@ def random_state(rng, num_qubits):
 
 
 # ── construction and invariants ──────────────────────────────────────────
-
-def test_basis_ket_examples():
-    assert np.allclose(basis_ket(1, [0]).amplitudes, [1, 0])
-    assert basis_ket(2, [1, 1]).amplitudes[3] == 1
-    assert basis_ket(3, [0, 1, 1]).amplitudes[3] == 1
-
-
-def test_basis_ket_index_round_trip_exhaustive():
-    # decoding the hot amplitude index recovers the bits, for every k <= 5
-    for k in range(1, 6):
-        for bits in itertools.product((0, 1), repeat=k):
-            state = basis_ket(k, bits)
-            index = int(np.argmax(np.abs(state.amplitudes)))
-            decoded = tuple((index >> (k - 1 - q)) & 1 for q in range(k))
-            assert decoded == bits
-
-
-def test_basis_ket_length_mismatch():
-    with pytest.raises(ValueError):
-        basis_ket(2, [0, 1, 1])
-
 
 def test_pure_state_rejects_bad_lengths_and_norms():
     with pytest.raises(ValueError):
@@ -65,9 +42,8 @@ def test_pure_state_rejects_bad_lengths_and_norms():
 
 
 def test_pure_state_amplitudes_frozen():
-    state = basis_ket(1, [0])
     with pytest.raises(ValueError):
-        state.amplitudes[0] = 0
+        ZERO.amplitudes[0] = 0
 
 
 def test_input_qubit_invariant():
@@ -81,8 +57,8 @@ def test_input_qubit_invariant():
 # ── tensor ───────────────────────────────────────────────────────────────
 
 def test_tensor_places_first_factor_leftmost():
-    state = tensor(basis_ket(1, [0]), basis_ket(1, [1]))
-    assert np.allclose(state.amplitudes, basis_ket(2, [0, 1]).amplitudes)
+    state = tensor(ZERO, ONE)
+    assert np.allclose(state.amplitudes, [0, 1, 0, 0])
 
 
 def test_tensor_input_with_maximal_channel():
@@ -101,35 +77,19 @@ def test_tensor_preserves_norm(rng):
         assert abs(np.linalg.norm(tensor(a, b).amplitudes) - 1.0) < 1e-12
 
 
-# ── inner product and fidelity ───────────────────────────────────────────
-
-def test_inner_product_basics():
-    zero, one = basis_ket(1, [0]), basis_ket(1, [1])
-    assert inner_product(zero, zero) == 1
-    assert inner_product(zero, one) == 0
-    xp, xm = x_basis().states
-    assert abs(inner_product(xp, xm)) < 1e-15
-
-
-def test_inner_product_conjugates_first_argument():
-    plus_i = PureState(1, [S2, S2 * 1j])
-    zero = basis_ket(1, [0])
-    assert inner_product(plus_i, zero) == pytest.approx(S2)
-    assert inner_product(plus_i, basis_ket(1, [1])).imag == pytest.approx(-S2)
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(ValueError):
-        inner_product(basis_ket(1, [0]), basis_ket(2, [0, 0]))
-
+# ── fidelity ─────────────────────────────────────────────────────────────
 
 def test_fidelity_examples():
-    zero = basis_ket(1, [0])
-    assert fidelity(zero, zero) == 1
-    assert fidelity(zero, x_basis().states[0]) == pytest.approx(0.5, abs=1e-15)
+    assert fidelity(ZERO, ZERO) == 1
+    assert fidelity(ZERO, x_basis().states[0]) == pytest.approx(0.5, abs=1e-15)
     for theta in (0.3, 1.1, math.pi):
-        phased = PureState(1, np.exp(1j * theta) * zero.amplitudes)
-        assert fidelity(zero, phased) == pytest.approx(1.0, abs=1e-15)
+        phased = PureState(1, np.exp(1j * theta) * ZERO.amplitudes)
+        assert fidelity(ZERO, phased) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_fidelity_dimension_mismatch():
+    with pytest.raises(ValueError, match="qubit-count mismatch"):
+        fidelity(ZERO, PureState(2, [1, 0, 0, 0]))
 
 
 def test_fidelity_symmetric_and_bounded(rng):
@@ -149,9 +109,8 @@ def test_unitarity_enforced():
 
 
 def test_pauli_actions():
-    zero, one = basis_ket(1, [0]), basis_ket(1, [1])
     xp, xm = x_basis().states
-    assert fidelity(apply_unitary(zero, SIGMA_X, 0), one) == pytest.approx(1.0)
+    assert fidelity(apply_unitary(ZERO, SIGMA_X, 0), ONE) == pytest.approx(1.0)
     assert fidelity(apply_unitary(xp, SIGMA_Z, 0), xm) == pytest.approx(1.0)
 
 
@@ -192,4 +151,4 @@ def test_pauli_involution(rng):
 
 def test_apply_unitary_target_out_of_range():
     with pytest.raises(ValueError):
-        apply_unitary(basis_ket(2, [0, 0]), SIGMA_X, 2)
+        apply_unitary(PureState(2, [1, 0, 0, 0]), SIGMA_X, 2)
