@@ -395,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(p_eff)
     p_eff.add_argument("--samples", type=int, default=10000)
     p_eff.add_argument("--seed", type=_seed, default=0)
-    p_eff.add_argument("--threads", type=int,
-                       help="accepted and ignored: the estimator runs in one thread")
     p_eff.add_argument("--analytic-only", action="store_true",
                        help="emit the closed form only, skip sampling")
     p_eff.add_argument("--out", help="output path (default stdout)")

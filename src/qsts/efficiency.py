@@ -3,10 +3,10 @@
 The efficiency of a protocol is the average qubit transmission rate
 sum_j <P_j F_j>, the expectation taken over Bloch-uniform inputs.  For real
 weights it has the closed forms implemented here.  The Monte-Carlo estimator
-computes the inner sum exactly per sampled input: with K_j = C_j M_j the
-compiled branch operators, sum_j P_j F_j = sum_j |<psi|K_j|psi>|^2, one
-fixed quartic form in psi, so sampling noise comes only from the input
-average.  Its ``threads`` argument is accepted and ignored.
+computes the inner sum exactly per sampled input, sum_j P_j F_j =
+sum_j |a_j|alpha|^2 + b_j|beta|^2|^2 over the compiled diag(a_j, b_j), a
+fixed quadratic in |alpha|^2, so sampling noise comes only from the input
+average.
 """
 
 from __future__ import annotations
@@ -134,21 +134,22 @@ def cpro_monte_carlo(
     {parties, n, m} for "nparty-ghz", {ns, m} for "nparty-bell", with an
     optional ``receiver`` or ``receiver_index``.  Each sample's input comes
     from its own generator spawned from the master seed.  Every sample's
-    sum_j |<psi|K_j|psi>|^2 is then <v|T|v> with v = psi (x) conj(psi) and
-    the 4x4 matrix T = sum_j K_j (x) conj(K_j).  ``threads`` is ignored.
+    sum_j |a_j u + b_j v|^2, u = |alpha|^2 and v = |beta|^2, is A u^2 + D v^2
+    + B u v: A = sum |a_j|^2, D = sum |b_j|^2, B = 2 Re sum a_j conj(b_j).
+    ``threads`` is accepted and ignored.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     compiled, _, _ = compile_params(protocol, params)
-    kraus = compiled.operators
-    transfer = np.einsum("jab,jcd->acbd", kraus, kraus.conj()).reshape(4, 4)
+    a, b = compiled.diagonal.T
+    uu, vv = (np.abs(a) ** 2).sum(), (np.abs(b) ** 2).sum()
+    uv = 2.0 * (a * b.conj()).real.sum()
     inputs = [haar_sample(np.random.default_rng(child))
               for child in np.random.SeedSequence(seed).spawn(samples)]
-    psi = np.array([(q.alpha, q.beta) for q in inputs])
-    v = (psi[:, :, None] * psi.conj()[:, None, :]).reshape(samples, 4)
-    values = np.einsum("si,ij,sj->s", v.conj(), transfer, v).real
+    u, v = (np.abs([(q.alpha, q.beta) for q in inputs]) ** 2).T
+    values = uu * u * u + vv * v * v + uv * u * v
     estimate = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return EfficiencyReport(analytic_rate(protocol, params), estimate, samples,

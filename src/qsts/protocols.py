@@ -1,4 +1,4 @@
-"""Protocol runners: two channel families compiled to 2x2 branch instruments.
+"""Protocol runners: two channel families compiled to diagonal branch instruments.
 
 The compile knows two channel families: "ghz", one GHZ-type channel of
 weight n shared by every party, with Alice measuring her input and channel
@@ -7,13 +7,13 @@ party, with Alice measuring her input and her half of every channel in the
 weight-m paired family.  The helpers X-measure, and the receiver applies a
 frozen table's correction at (Alice outcome, helper parity) or the bell
 family's anchor rule.  Every measured and channel ket pairs an anchor s
-with its complement, so a branch operator is two terms in closed form:
-``_layout`` places them once per (family, N, receiver, table), and every
+with its complement, so each corrected branch operator is diag(a_j, b_j):
+``_layout`` places the terms once per (family, N, receiver, table), and every
 ``compile_protocol`` call fills them from the weights and checks completeness.
 ``run_protocol1`` is the ghz family at three parties, ``run_nparty_ghz`` at
 3..10; ``run_protocol2`` is the bell family at three parties (n1 to Bob, n2
 to Charlie) named by TABLE2, ``run_nparty_bell`` at 3..6.  Each runner
-enumerates every branch exactly (no sampling) from the compiled operators,
+enumerates every branch exactly (no sampling) from the compiled diagonal,
 recording per branch the outcome labels, joint probability, the receiver's
 corrected state and its fidelity with the input.
 """
@@ -336,35 +336,45 @@ class CompiledProtocol:
 
     Branches run over Alice's outcomes in basis order, then over the
     helpers' X outcomes in party order, the first helper varying slowest.
-    ``operators[j]`` is the 2x2 operator K_j = C_j M_j taking the input
-    (alpha, beta) to branch j's unnormalised corrected receiver qubit: M_j
-    is the measurement residue and C_j = ``corrections[j]`` a Pauli product
-    with entries 0 and +-1.  Every measured ket pairs an anchor s with its
-    complement, so K_j has exactly two nonzero entries, one per row and
-    column, each a bra coefficient times channel amplitudes times
-    +-2^(-(N-2)/2).  Branch j occurs with probability |K_j psi|^2, and
-    sum_j K_j^dagger K_j = I to within ``NORM_ATOL``.
+    ``diagonal[j]`` = (a_j, b_j) gives branch j's measurement residue
+    followed by its Pauli correction ``corrections[j]`` as diag(a_j, b_j),
+    taking the input (alpha, beta) to the unnormalised receiver qubit
+    (a_j alpha, b_j beta); each entry is a bra coefficient times channel
+    amplitudes times +-2^(-(N-2)/2).  Branch j occurs with probability
+    |a_j alpha|^2 + |b_j beta|^2, is exact for every input when a_j = b_j,
+    and sum_j |a_j|^2 = sum_j |b_j|^2 = 1 to within ``NORM_ATOL``.
     """
 
     alice_labels: tuple[str, ...]
     helper_labels: tuple[tuple[str, ...], ...]
     corrections: tuple[SingleQubitUnitary, ...]
     classical_bits: int
-    operators: np.ndarray
+    diagonal: np.ndarray
 
 
-@lru_cache(maxsize=64)  # every (family, N, receiver, table) there is: 60
+#: The fewest and most parties each channel family's runners take.
+PARTY_CAPS = {"ghz": (3, 10), "bell": (3, 6)}
+
+
+@lru_cache(maxsize=64)  # every (family, N, receiver, table) a runner reaches: 59
 def _layout(family: str, num_parties: int, receiver: int, table: str | None):
     """The weight-independent part: labels, corrections, classical bits, terms.
 
     The corrections are the named frozen table at (Alice outcome, helper
     parity), or without a table the bell family's anchor rule.  Each branch
-    has two terms, Alice's anchor s and its complement.  Per term, ``where``
-    is its flat index in the (B, 2, 2) operator stack (corrected receiver
-    row, input column); ``gather`` its index in the compile's table of bra
-    coefficient times channel amplitude; and ``sign`` the correction's sign
-    times the helpers' X sign (-1)^(sum_h x_h s_h).
+    has two terms, Alice's anchor s and its complement; input column c holds
+    term c ^ s_0.  Per column, ``gather`` is the term's index in the
+    compile's table of bra coefficient times channel amplitude, and ``sign``
+    the correction's entry at (c, the term's receiver bit), which must be
+    +-1, times the helpers' X sign (-1)^(sum_h x_h s_h).
     """
+    if family not in PARTY_CAPS:
+        raise ValueError(f"unknown channel family {family!r}")
+    low, high = PARTY_CAPS[family]
+    if not low <= num_parties <= high:
+        raise ValueError(f"the {family} family takes {low}..{high} parties, got {num_parties}")
+    if not 1 <= receiver <= num_parties - 1:
+        raise ValueError(f"receiver_index {receiver} out of range for {num_parties} parties")
     channels = 1 if family == "ghz" else num_parties - 1
     if family == "ghz":
         # Bell pairs anchored at 00 and 01 on (input, channel qubit), the
@@ -374,6 +384,8 @@ def _layout(family: str, num_parties: int, receiver: int, table: str | None):
                         for a in (0, 1) for minus in (False, True))
     else:
         alice, anchors = pair_labels(num_parties), pair_anchors(num_parties)
+    if table is not None and set(FROZEN_TABLES.get(table, ())) != set(product(alice, X_LABELS)):
+        raise ValueError(f"table {table!r} does not fit the {family} family at N = {num_parties}")
     branches = list(product(range(len(alice)), product((0, 1), repeat=num_parties - 2)))
     # the correction depends on Alice's outcome and the helpers' parity only
     if table is None:
@@ -382,26 +394,25 @@ def _layout(family: str, num_parties: int, receiver: int, table: str | None):
     else:
         by_parity = [[FROZEN_TABLES[table][(label, x)] for x in X_LABELS] for label in alice]
     corrections = [by_parity[outcome][sum(xs) % 2] for outcome, xs in branches]
-    # axes (branch j, term: anchor then complement, ...)
+    # axes (branch j, input column c, ...)
     anchor_bits, minus = map(np.array, zip(*anchors))
     outcome, xs = map(np.array, zip(*branches))
-    bits = anchor_bits[outcome][:, None, :] ^ np.array([[0], [1]])
-    j = np.arange(len(branches))[:, None]
-    column = np.stack([c.matrix.real for c in corrections])[j, :, bits[..., receiver]]
-    row = np.abs(column).argmax(axis=-1)
-    where = 4 * j + 2 * row + bits[..., 0]
+    term = anchor_bits[outcome][:, :1] ^ np.arange(2)
+    bits = anchor_bits[outcome][:, None, :] ^ term[..., None]
+    entry = np.stack([c.matrix.real for c in corrections])[
+        np.arange(len(branches))[:, None], np.arange(2), bits[..., receiver]]
+    if not (np.abs(entry) == 1.0).all():
+        raise ValueError(f"corrections at receiver {receiver} do not map each term to its column")
     # bra slot (f, f m*, f m, -f)[2 is_minus + term], then the channel bits
-    slot = 2 * minus[outcome][:, None] + np.arange(2)
+    slot = 2 * minus[outcome][:, None] + term
     gather = (slot << channels) + bits[..., 1:1 + channels] @ (1 << np.arange(channels)[::-1])
     helpers = [p for p in range(1, num_parties) if p != receiver]
-    x_sign = 1 - 2 * ((xs[:, None, :] * bits[..., helpers]).sum(axis=-1) % 2)
-    sign = np.take_along_axis(column, row[..., None], axis=-1)[..., 0] * x_sign
-    for array in (where, gather, sign):
-        array.flags.writeable = False
+    sign = entry * (1 - 2 * ((xs[:, None, :] * bits[..., helpers]).sum(axis=-1) % 2))
+    gather.flags.writeable = sign.flags.writeable = False
     classical = len(alice).bit_length() - 1 + num_parties - 2  # Alice's, one per helper
     return (tuple(alice[a] for a, _ in branches),
             tuple(tuple(X_LABELS[x] for x in xs) for _, xs in branches),
-            tuple(corrections), classical, where, gather, sign)
+            tuple(corrections), classical, gather, sign)
 
 
 def compile_protocol(
@@ -412,17 +423,17 @@ def compile_protocol(
     receiver: int,
     table: str | None,
 ) -> CompiledProtocol:
-    """Compile a channel family at fixed weights into its branch operators.
+    """Compile a channel family at fixed weights into its branch diagonals.
 
     ``weights`` is (n,) for the "ghz" family and one weight per party for
     the "bell" family.  Parties are 1..num_parties-1; ``receiver`` receives
     and the others help.  ``table`` names the ``FROZEN_TABLES`` entry giving
     the corrections ("TABLE1" for ghz); None gives the bell family's anchor
-    rule.  ``compile_params`` validates the arguments.  Each call compiles
-    afresh from the cached layout.  A non-finite weight, or
-    max|sum K^dagger K - I| > ``NORM_ATOL``, raises ``ValueError``.
+    rule.  Each call compiles afresh from the cached layout.  Arguments that
+    no layout fits (see ``PARTY_CAPS``), a non-finite weight, or max(|sum
+    |a_j|^2 - 1|, |sum |b_j|^2 - 1|) > ``NORM_ATOL`` raise ``ValueError``.
     """
-    alice_labels, helper_labels, corrections, bits, where, gather, sign = _layout(
+    alice_labels, helper_labels, corrections, bits, gather, sign = _layout(
         family, num_parties, receiver, table)
     f = _weight_norm(m)
     channel = np.ones(1, dtype=np.complex128)
@@ -430,21 +441,15 @@ def compile_protocol(
         g = _weight_norm(w)
         channel = np.multiply.outer(channel, (g, g * w)).ravel()
     bras = np.array((f, f * m.conjugate(), f * m, -f))
-    operators = np.zeros((len(corrections), 2, 2), dtype=np.complex128)
     products = np.multiply.outer(bras, channel).ravel()
     for _ in range(num_parties - 2):
         products *= 1.0 / math.sqrt(2.0)  # each helper's X bra, one factor at a time
-    operators.reshape(-1)[where] = products[gather] * sign
-    flat = operators.reshape(-1, 2)
-    residual = float(np.abs(flat.conj().T @ flat - IDENTITY.matrix).max())
+    diagonal = products[gather] * sign
+    residual = float(np.abs((np.abs(diagonal) ** 2).sum(axis=0) - 1.0).max())
     if not residual <= NORM_ATOL:
-        raise ValueError(f"instrument not complete: max|sum K^dagger K - I| = {residual!r}")
-    operators.flags.writeable = False
-    return CompiledProtocol(alice_labels, helper_labels, corrections, bits, operators)
-
-
-#: The fewest and most parties each channel family's runners take.
-PARTY_CAPS = {"ghz": (3, 10), "bell": (3, 6)}
+        raise ValueError(f"instrument not complete: max|sum |K_jj|^2 - 1| = {residual!r}")
+    diagonal.flags.writeable = False
+    return CompiledProtocol(alice_labels, helper_labels, corrections, bits, diagonal)
 
 
 def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, dict, str]:
@@ -484,20 +489,15 @@ def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, di
         run_params = {"ns": weights, "m": m}
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    low, high = PARTY_CAPS[family]
-    if not low <= num_parties <= high:
-        raise ValueError(f"{protocol} takes {low}..{high} parties, got {num_parties}")
     r = num_parties - 1 if index is None else int(index)
-    if not 1 <= r <= num_parties - 1:
-        raise ValueError(f"receiver_index {r} out of range for {num_parties} parties")
     name = receiver or f"party{r}"
     return compile_protocol(family, weights, m, num_parties, r, table), run_params, name
 
 
 def _branches(compiled: CompiledProtocol, source: InputQubit) -> tuple[BranchRecord, ...]:
-    """Apply the instrument to the input: every branch from one batched product."""
+    """Apply the instrument to the input: every branch from one elementwise product."""
     psi = np.array((source.alpha, source.beta))
-    outputs = compiled.operators @ psi  # (branch, amplitude)
+    outputs = compiled.diagonal * psi  # (branch, amplitude)
     probabilities = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=1)
     live = probabilities >= ZERO_NORM_THRESHOLD
     states = outputs / np.sqrt(np.where(live, probabilities, 1.0))[:, None]

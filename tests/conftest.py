@@ -34,26 +34,25 @@ def rng():
 def exact_haar_rate(compiled) -> float:
     """Haar average of sum_j P_j F_j over Bloch-uniform inputs.
 
-    For branch operators K_j = C_j M_j it is sum_j (|tr K_j|^2 + tr K_j^dagger
-    K_j)/6, the average-fidelity identity of Horodecki et al., PRA 60, 1888
-    (1999).
+    For branch operators K_j = diag(a_j, b_j) it is sum_j (|tr K_j|^2 +
+    tr K_j^dagger K_j)/6 = sum_j (|a_j + b_j|^2 + |a_j|^2 + |b_j|^2)/6, the
+    average-fidelity identity of Horodecki et al., PRA 60, 1888 (1999).
     """
-    kraus = compiled.operators
-    traces = np.trace(kraus, axis1=1, axis2=2)
-    return float((np.sum(np.abs(traces) ** 2) + np.sum(np.abs(kraus) ** 2)) / 6.0)
+    a, b = compiled.diagonal.T
+    return float((np.sum(np.abs(a + b) ** 2) + np.sum(np.abs(compiled.diagonal) ** 2)) / 6.0)
 
 
 def exact_success(compiled, rtol: float = 1e-9) -> float:
     """Input-independent success probability of a compiled instrument.
 
-    A branch transfers every input exactly when K_j is proportional to the
-    identity, and then occurs with probability tr(K_j^dagger K_j)/2 whatever
-    the input; the sum runs over those branches.  ``rtol`` bounds the
-    off-identity part of K_j relative to its largest entry.
+    A branch transfers every input exactly when K_j = diag(a_j, b_j) is
+    proportional to the identity, a_j = b_j, and then occurs with
+    probability (|a_j|^2 + |b_j|^2)/2 whatever the input; the sum runs over
+    those branches.  ``rtol`` bounds |a_j - b_j| relative to the larger of
+    |a_j| and |b_j|.
     """
     total = 0.0
-    for kraus in compiled.operators:
-        off_identity = kraus - np.trace(kraus) / 2 * np.eye(2)
-        if np.abs(off_identity).max() <= rtol * np.abs(kraus).max():
-            total += float(np.sum(np.abs(kraus) ** 2)) / 2
+    for a, b in compiled.diagonal:
+        if abs(a - b) / 2 <= rtol * max(abs(a), abs(b)):
+            total += (abs(a) ** 2 + abs(b) ** 2) / 2
     return total

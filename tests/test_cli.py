@@ -94,6 +94,25 @@ def test_invalid_arguments_exit_code():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--protocol", "nparty-ghz", "--parties", "2", "--n", "0.5"),
+         "takes 3..10 parties, got 2"),
+        (("--protocol", "nparty-bell", "--n-list", "0.5,0.5,0.5,0.5,0.5,0.5"),
+         "takes 3..6 parties, got 7"),
+        (("--protocol", "nparty-ghz", "--parties", "4", "--n", "0.5", "--receiver", "4"),
+         "receiver_index 4 out of range for 4 parties"),
+    ],
+    ids=("ghz-2-parties", "bell-7-parties", "receiver-4-of-4"),
+)
+def test_layout_outside_the_party_caps_exits_2_naming_it(args, message):
+    result = invoke("run", *args, "--m", "0.5")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert message in result.stderr
+
+
 def test_run_huge_weight_is_strict_json():
     result = invoke("run", "--protocol", "p1", "--n", "1e155", "--m", "0.5")
     assert result.returncode == 0, result.stderr
@@ -270,15 +289,17 @@ def test_negative_complex_and_list_values_in_space_form():
         assert result.stdout == reference.stdout
 
 
-def test_efficiency_threads_accepted_and_ignored():
+def test_efficiency_refuses_threads_and_ignores_the_environment():
     args = ("efficiency", "--protocol", "p1", "--n", "0.4", "--m", "0.8",
             "--samples", "60", "--seed", "4")
     plain = invoke(*args)
     threaded = invoke(*args, "--threads", "3")
     # QSTS_THREADS is not read, so even an unparsable value changes nothing
     env = invoke(*args, env={**os.environ, "QSTS_THREADS": "many"})
-    assert plain.returncode == threaded.returncode == env.returncode == 0
-    assert plain.stdout == threaded.stdout == env.stdout
+    assert plain.returncode == env.returncode == 0
+    assert plain.stdout == env.stdout
+    assert threaded.returncode == 2 and threaded.stdout == ""
+    assert "--threads" in threaded.stderr
 
 
 # ── sweep ────────────────────────────────────────────────────────────────

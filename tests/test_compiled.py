@@ -79,14 +79,15 @@ def test_instrument_complete_and_matches_branches(case):
     psi = np.array([SOURCE.alpha, SOURCE.beta])
     for run_fn, key in _compiled_cases(WEIGHT_CASES[case]):
         compiled = compile_protocol(*key)
-        kraus = compiled.operators
-        assert kraus.shape == (len(compiled.corrections), 2, 2)
-        completeness = np.einsum("jri,jrk->ik", kraus.conj(), kraus)
-        assert np.abs(completeness - np.eye(2)).max() <= 1e-12, key
+        diagonal = compiled.diagonal
+        assert diagonal.shape == (len(compiled.corrections), 2)
+        completeness = (np.abs(diagonal) ** 2).sum(axis=0)
+        assert np.abs(completeness - 1.0).max() <= 1e-12, key
         run = run_fn(SOURCE)
-        assert len(run.branches) == kraus.shape[0]
-        for branch, k_j, c_j in zip(run.branches, kraus, compiled.corrections):
+        assert len(run.branches) == diagonal.shape[0]
+        for branch, d_j, c_j in zip(run.branches, diagonal, compiled.corrections):
             assert branch.correction is c_j
+            k_j = np.diag(d_j)
             # the measurement residue M_j = C_j^dagger K_j gives the same probability
             amplitude = c_j.matrix.conj().T @ (k_j @ psi)
             assert branch.probability == pytest.approx(np.vdot(amplitude, amplitude).real,
@@ -131,7 +132,10 @@ def test_closed_form_matches_the_dense_reference(m, ns):
         assert (compiled.alice_labels, compiled.helper_labels, compiled.classical_bits) == (
             alice, helpers, bits), key
         assert all(a is b for a, b in zip(compiled.corrections, corrections, strict=True)), key
-        assert np.abs(compiled.operators - operators).max() <= 1e-15, key
+        # every corrected operator is diagonal, and the compile keeps its diagonal
+        assert (operators[:, [0, 1], [1, 0]] == 0).all(), key
+        diagonal = np.diagonal(operators, axis1=1, axis2=2)
+        assert np.abs(compiled.diagonal - diagonal).max() <= 1e-15, key
 
 
 def test_completeness_guard_rejects_a_perturbed_instrument(monkeypatch):
@@ -150,14 +154,37 @@ def test_completeness_guard_rejects_a_perturbed_instrument(monkeypatch):
         compile_protocol(*key)
 
 
+@pytest.mark.parametrize(
+    "family, weights, parties, receiver, table, message",
+    [
+        # complete, but TABLE2's corrections fit only the last receiver
+        ("bell", (0.5, 0.8), 3, 1, "TABLE2", "at receiver 1 do not map each term to its column"),
+        ("ghz", (0.5,), 4, 0, "TABLE1", "receiver_index 0 out of range for 4 parties"),
+        ("ghz", (0.5,), 3, 5, "TABLE1", "receiver_index 5 out of range for 3 parties"),
+        ("bell", (0.5, 0.8), 3, 2, "TABLE1",
+         "table 'TABLE1' does not fit the bell family at N = 3"),
+        ("bell", (0.5, 0.8, 0.3), 4, 3, "TABLE2",
+         "table 'TABLE2' does not fit the bell family at N = 4"),
+        ("w", (0.5,), 3, 2, None, "unknown channel family 'w'"),
+        ("ghz", (0.5,), 2, 1, "TABLE1", "the ghz family takes 3..10 parties, got 2"),
+        ("bell", (0.5,) * 6, 7, 6, None, "the bell family takes 3..6 parties, got 7"),
+    ],
+)
+def test_compile_rejects_a_layout_that_does_not_fit(
+        family, weights, parties, receiver, table, message):
+    m = choose_m("ghz-plus", n1=0.5, n2=0.8)
+    with pytest.raises(ValueError, match=message):
+        compile_protocol(family, tuple(map(complex, weights)), m, parties, receiver, table)
+
+
 def test_every_call_compiles_afresh():
     # +0.0 and -0.0 compare and hash equal, so a compile cached on its
     # arguments would hand the second call the first call's zero signs
     weights = (0.5 + 0.2j, 0.7)
     plus = compile_protocol("bell", weights, complex(0.0), 3, 2, None)
     minus = compile_protocol("bell", weights, complex(-0.0), 3, 2, None)
-    assert np.array_equal(plus.operators, minus.operators)
-    signs = [np.signbit(c.operators.view(np.float64)) for c in (plus, minus)]
+    assert np.array_equal(plus.diagonal, minus.diagonal)
+    signs = [np.signbit(c.diagonal.view(np.float64)) for c in (plus, minus)]
     assert (signs[0] != signs[1]).any()
 
 
@@ -165,7 +192,7 @@ def _same_instrument(a, b):
     return (a.alice_labels == b.alice_labels and a.helper_labels == b.helper_labels
             and a.classical_bits == b.classical_bits
             and all(x is y for x, y in zip(a.corrections, b.corrections))
-            and a.operators.tobytes() == b.operators.tobytes())
+            and a.diagonal.tobytes() == b.diagonal.tobytes())
 
 
 @pytest.mark.parametrize("n, m", [(0.45, 1.3), (0.5 + 0.3j, 0.9j), (0.0, 0.6), (0.6, 0.0),

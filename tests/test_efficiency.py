@@ -272,7 +272,7 @@ def test_every_ghz_receiver_gives_the_same_instrument_and_estimate(n, m):
             compiled = compile_params("nparty-ghz", params)[0]
             report = cpro_monte_carlo("nparty-ghz", params, 16, 7)
             seen.add((compiled.alice_labels, compiled.helper_labels, compiled.classical_bits,
-                      tuple(c.name for c in compiled.corrections), compiled.operators.tobytes(),
+                      tuple(c.name for c in compiled.corrections), compiled.diagonal.tobytes(),
                       report.estimate.hex(), report.std_error.hex()))
         assert len(seen) == 1, (parties, n, m)
 
@@ -344,6 +344,40 @@ def test_exact_rate_of_nparty_bell_is_the_product_form(rng):
             compiled = compile_protocol("bell", tuple(map(complex, ns)), complex(m), parties, r,
                                         None)
             assert abs(exact_haar_rate(compiled) - expected) <= 1e-14
+
+
+# ── B = 2 sum_j Re(a_j conj(b_j)), the diagonal's one number ────────────
+
+def _b(compiled):
+    a, b = compiled.diagonal.T
+    return 2.0 * float((a * b.conj()).real.sum())
+
+
+complex_weights = st.complex_numbers(max_magnitude=20.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=complex_weights, m=complex_weights)
+def test_ghz_b_is_the_same_at_every_party_count_and_receiver(n, m):
+    n, m = complex(n), complex(m)
+    reference = _b(compile_protocol("ghz", (n,), m, 3, 2, "TABLE1"))
+    for parties in range(3, 11):
+        for r in range(1, parties):
+            b = _b(compile_protocol("ghz", (n,), m, parties, r, "TABLE1"))
+            assert abs(b - reference) <= 1e-13, (parties, r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=complex_weights, m=complex_weights, other=complex_weights,
+       source=st.integers(0, 2**32 - 1).map(lambda s: haar_sample(np.random.default_rng(s))))
+def test_transmission_sum_is_one_minus_2_minus_b_times_w_1_minus_w(n, m, other, source):
+    # completeness makes sum_j |a_j|^2 = sum_j |b_j|^2 = 1, so the input's
+    # phase drops out and only w = |alpha|^2 enters
+    w = abs(source.alpha) ** 2
+    for protocol, params in _mc_cases(complex(n), complex(m), complex(other)):
+        expected = 1.0 - (2.0 - _b(compile_params(protocol, params)[0])) * w * (1.0 - w)
+        actual = transmission_sum(_runner(protocol, params)(source))
+        assert abs(actual - expected) <= 1e-12, (protocol, params)
 
 
 real_weights = st.one_of(
