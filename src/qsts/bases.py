@@ -51,10 +51,16 @@ class BasisSet:
             raise ValueError("basis states are not orthonormal")
 
 
+def _finite(w: complex) -> complex:
+    """``w`` itself; a non-finite weight raises ``ValueError``."""
+    if not cmath.isfinite(w):
+        raise ValueError(f"weights must be finite, got {w!r}")
+    return w
+
+
 def _weight_norm(m: complex) -> float:
     """1/sqrt(1 + |m|^2) without overflow; every weight passes through here."""
-    if not cmath.isfinite(m):
-        raise ValueError(f"weights must be finite, got {m!r}")
+    _finite(m)
     return 1.0 / math.hypot(1.0, m.real, m.imag)
 
 

@@ -25,6 +25,7 @@ from .protocols import (
     DegenerateChannelError,
     ProtocolRun,
     choose_m,
+    p2_channels,
     run_nparty_bell,
     run_nparty_ghz,
     run_protocol1,
@@ -87,25 +88,36 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
-def _json_number(value: complex) -> object:
-    # real weights serialise as plain floats, complex ones as re/im pairs
+def _json_number(value) -> object:
+    # real weights serialise as plain floats, complex ones as re/im pairs,
+    # a weight tuple as a list
+    if isinstance(value, tuple):
+        return [_json_number(v) for v in value]
     value = complex(value)
     if value.imag == 0.0:
         return value.real
     return {"re": value.real, "im": value.imag}
 
 
+def _csv(rows: list[dict]) -> str:
+    """Rows sharing their keys as CSV: lists joined by '+', None empty."""
+    def cell(value) -> str:
+        if isinstance(value, str):
+            return value
+        if isinstance(value, list):
+            return "+".join(value)
+        return "" if value is None else _format_float(value)
+    return "\n".join([",".join(rows[0])] + [",".join(map(cell, row.values())) for row in rows])
+
+
 def _emit(text: str, out_path: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out_path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
         except OSError as exc:
             raise CliError(f"cannot write {out_path}: {exc}") from exc
 
@@ -153,78 +165,76 @@ def _parse_input(text: str, default_seed: int) -> InputQubit:
         raise CliError(str(exc)) from None
 
 
-def _channel_params(args, swept: str | None = None) -> dict:
-    """Extract and validate the channel weights demanded by the protocol.
+#: Each protocol's channel parameters as ``compile_params`` names them, and
+#: the parameter that ``--receiver`` sets.
+_PRESETS = {
+    "p1": (("n",), "receiver"),
+    "p2": (("n1", "n2"), "receiver"),
+    "nparty-ghz": (("n", "parties"), "receiver_index"),
+    "nparty-bell": (("ns",), "receiver_index"),
+}
 
-    A ``sweep`` passes its swept parameter, whose weight is not read.
+
+def _parse_weight(name: str, value):
+    if name == "ns":
+        return tuple(_parse_complex(p, "--n-list") for p in value.split(","))
+    return value if name == "parties" else _parse_complex(value, f"--{name}")
+
+
+def _resolve_m(text: str, params: dict) -> complex:
+    if not text.startswith("strategy:"):
+        return _parse_complex(text, "--m")
+    if "n1" in params:  # p2: choose_m reads the helper's channel, then the receiver's
+        weights = dict(zip(("n1", "n2"), p2_channels(params)))
+    else:
+        weights = {key: params[key] for key in ("n", "ns") if key in params}
+    return choose_m(text.split(":", 1)[1], **weights)
+
+
+def _params(args, swept: tuple[str, float] | None = None) -> dict:
+    """The ``compile_params`` dict that the flags give: weights, m, receiver.
+
+    A ``sweep`` step passes its (name, value): that weight is not read from
+    the flags, and m takes the value when m is swept or ``--m`` names it.
     """
-    protocol = args.protocol
-    if protocol in WEIGHTS:
-        names = [name for name in WEIGHTS[protocol][:-1] if name != swept]
-        missing = [f"--{name}" for name in names if getattr(args, name) is None]
-        if missing:
-            raise CliError(f"{protocol} needs {' and '.join(missing)}")
-        return {name: _parse_complex(getattr(args, name), f"--{name}") for name in names}
+    name, value = swept or (None, None)
+    names, receiver_key = _PRESETS[args.protocol]
+    names = [n for n in names if n != name]
+    missing = ["--n-list" if n == "ns" else f"--{n}" for n in names if getattr(args, n) is None]
+    if missing:
+        raise CliError(f"{args.protocol} needs {' and '.join(missing)}")
+    params = {n: _parse_weight(n, getattr(args, n)) for n in names}
+    if name not in (None, "m"):
+        params[name] = value
+    receiver = getattr(args, "receiver", None)  # only ``run`` takes --receiver
+    if receiver is not None:
+        params[receiver_key] = receiver  # p2_channels reads a name, compile_params checks it
+    tracks = name is not None and name in ("m", args.m)
+    params["m"] = complex(value) if tracks else _resolve_m(args.m, params)
+    if receiver is not None and receiver_key == "receiver_index":  # m's errors come first
+        try:
+            params[receiver_key] = int(receiver)
+        except ValueError:
+            raise CliError("--receiver must be a party index for many-party "
+                           "protocols") from None
+    return params
+
+
+def _execute(protocol: str, source: InputQubit, params: dict) -> ProtocolRun:
+    # the runners are looked up per call: perfbench/spans.py patches these names
     if protocol == "nparty-ghz":
-        if args.n is None or args.parties is None:
-            raise CliError("nparty-ghz needs --n and --parties")
-        return {"n": _parse_complex(args.n, "--n"), "parties": int(args.parties)}
-    if args.n_list is None:
-        raise CliError("nparty-bell needs --n-list")
-    ns = tuple(_parse_complex(p, "--n-list") for p in args.n_list.split(","))
-    return {"ns": ns}
-
-
-def _resolve_m(m_text: str, channel: dict, receiver: str | None = None) -> complex:
-    if not m_text.startswith("strategy:"):
-        return _parse_complex(m_text, "--m")
-    weights = {name: value for name, value in channel.items() if name != "parties"}
-    if receiver == "bob" and "n2" in weights:
-        # choose_m takes p2's helper channel as n1 and the receiver's as n2
-        weights = {"n1": weights["n2"], "n2": weights["n1"]}
-    return choose_m(m_text.split(":", 1)[1], **weights)
-
-
-def _parse_receiver(args, protocol: str):
-    # compile_params checks the p1/p2 receiver names
-    text = args.receiver
-    if protocol in WEIGHTS:
-        return "charlie" if text is None else text
-    if text is None:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise CliError("--receiver must be a party index for many-party protocols") from None
-
-
-def _execute(protocol: str, source: InputQubit, channel: dict, m: complex, receiver) -> ProtocolRun:
-    if protocol == "p1":
-        return run_protocol1(source, channel["n"], m, receiver)
-    if protocol == "p2":
-        return run_protocol2(source, channel["n1"], channel["n2"], m, receiver)
-    if protocol == "nparty-ghz":
-        return run_nparty_ghz(source, channel["parties"], channel["n"], m, receiver)
-    return run_nparty_bell(source, channel["ns"], m, receiver)
+        params = dict(params)
+        return run_nparty_ghz(source, params.pop("parties"), **params)
+    runner = {"p1": run_protocol1, "p2": run_protocol2, "nparty-bell": run_nparty_bell}
+    return runner[protocol](source, **params)
 
 
 # ── subcommands ──────────────────────────────────────────────────────────
 
 def _cmd_run(args) -> int:
-    channel = _channel_params(args)
-    m = _resolve_m(args.m, channel, args.receiver)
+    params = _params(args)
     source = _parse_input(args.input, args.seed)
-    receiver = _parse_receiver(args, args.protocol)
-    run = _execute(args.protocol, source, channel, m, receiver)
-
-    params: dict = {}
-    for key, value in run.params.items():
-        if key == "parties":
-            params[key] = value
-        elif key == "ns":
-            params[key] = [_json_number(v) for v in value]
-        else:
-            params[key] = _json_number(value)
+    run = _execute(args.protocol, source, params)
     branches = [
         {
             "alice": b.alice_label,
@@ -238,7 +248,7 @@ def _cmd_run(args) -> int:
     if args.format == "json":
         doc = {
             "protocol": run.protocol,
-            "params": params,
+            "params": {key: _json_number(value) for key, value in run.params.items()},
             "receiver": run.receiver,
             "input": {
                 "alpha_re": source.alpha.real,
@@ -252,14 +262,7 @@ def _cmd_run(args) -> int:
         }
         _emit(render_json(doc), args.out)
     else:
-        lines = ["alice,helpers,probability,fidelity,correction"]
-        for b in branches:
-            lines.append(
-                f"{b['alice']},{'+'.join(b['helpers'])},"
-                f"{_format_float(b['probability'])},{_format_float(b['fidelity'])},"
-                f"{b['correction']}"
-            )
-        _emit("\n".join(lines), args.out)
+        _emit(_csv(branches), args.out)
     return EXIT_OK
 
 
@@ -296,25 +299,17 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_efficiency(args) -> int:
-    channel = _channel_params(args)
-    params = {**channel, "m": _resolve_m(args.m, channel)}
+    params = _params(args)
     if args.analytic_only:
-        analytic = analytic_rate(args.protocol, params)
-        if analytic is None:
+        doc = {"analytic": analytic_rate(args.protocol, params)}
+        if doc["analytic"] is None:
             raise CliError("no closed form for this protocol/parameter combination")
-        _emit(render_json({"analytic": analytic}), args.out)
-        return EXIT_OK
-    report = cpro_monte_carlo(args.protocol, params, args.samples, args.seed)
-    doc: dict = {}
-    if report.analytic is not None:
-        doc["analytic"] = report.analytic
-    doc.update(
-        estimate=report.estimate,
-        samples=report.samples,
-        std_error=report.std_error,
-        seed=report.seed,
-    )
-    _emit(render_json(doc), args.out)
+    else:
+        report = cpro_monte_carlo(args.protocol, params, args.samples, args.seed)
+        doc = {"analytic": report.analytic, "estimate": report.estimate,
+               "samples": report.samples, "std_error": report.std_error, "seed": report.seed}
+    # complex weights have no closed form, and their report no "analytic" field
+    _emit(render_json({key: value for key, value in doc.items() if value is not None}), args.out)
     return EXIT_OK
 
 
@@ -326,42 +321,25 @@ def _cmd_sweep(args) -> int:
     swept = args.param
     if swept not in WEIGHTS[args.protocol]:
         raise CliError(f"--param must be one of {WEIGHTS[args.protocol]} for {args.protocol}")
-    fixed = _channel_params(args, swept)
     if args.steps == 1:
         values = [args.start]
     else:
         step = (args.stop - args.start) / (args.steps - 1)
         values = [args.start + i * step for i in range(args.steps)]
+    if not all(map(math.isfinite, (args.start, args.stop, *values))):
+        raise CliError("--from, --to and the span between them must be finite")
 
-    lines = ["param,value,analytic,estimate,std_error"]
+    rows = []
     for i, value in enumerate(values):
-        channel = fixed if swept == "m" else {**fixed, swept: value}
-        if swept in ("m", args.m):
-            m = complex(value)  # the basis weight is, or tracks, the swept weight
-        else:
-            m = _resolve_m(args.m, channel)
-        params = {**channel, "m": m}
+        params = _params(args, (swept, value))
         report = cpro_monte_carlo(args.protocol, params, args.samples, args.seed + i)
-        analytic = "" if report.analytic is None else _format_float(report.analytic)
-        lines.append(
-            f"{swept},{_format_float(value)},{analytic},"
-            f"{_format_float(report.estimate)},{_format_float(report.std_error)}"
-        )
-    _emit("\n".join(lines), args.out)
+        rows.append({"param": swept, "value": value, "analytic": report.analytic,
+                     "estimate": report.estimate, "std_error": report.std_error})
+    _emit(_csv(rows), args.out)
     return EXIT_OK
 
 
 # ── parser ───────────────────────────────────────────────────────────────
-
-def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", help="channel weight (p1, nparty-ghz)")
-    parser.add_argument("--n1", help="first channel weight (p2)")
-    parser.add_argument("--n2", help="second channel weight (p2)")
-    parser.add_argument("--n-list", help="comma-separated channel weights (nparty-bell)")
-    parser.add_argument("--parties", type=int, help="party count (nparty-ghz)")
-    parser.add_argument("--m", required=True,
-                        help="basis weight: a number or strategy:<name>")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -371,16 +349,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one protocol, reporting every branch")
-    p_run.add_argument("--protocol", required=True,
-                       choices=("p1", "p2", "nparty-ghz", "nparty-bell"))
-    _add_channel_flags(p_run)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--seed", type=_seed, default=0)
+    output.add_argument("--out", help="output path (default stdout)")
+
+    channel = argparse.ArgumentParser(add_help=False)
+    channel.add_argument("--protocol", required=True,
+                         choices=("p1", "p2", "nparty-ghz", "nparty-bell"))
+    channel.add_argument("--n", help="channel weight (p1, nparty-ghz)")
+    channel.add_argument("--n1", help="first channel weight (p2)")
+    channel.add_argument("--n2", help="second channel weight (p2)")
+    channel.add_argument("--n-list", dest="ns", metavar="N_LIST",
+                         help="comma-separated channel weights (nparty-bell)")
+    channel.add_argument("--parties", type=int, help="party count (nparty-ghz)")
+    channel.add_argument("--m", required=True,
+                         help="basis weight: a number or strategy:<name>")
+
+    p_run = sub.add_parser("run", parents=[channel, output],
+                           help="run one protocol, reporting every branch")
     p_run.add_argument("--input", default="haar",
                        help="'a_re,a_im,b_re,b_im' or 'haar[:seed]' (default haar)")
     p_run.add_argument("--receiver", help="bob|charlie or a party index")
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
-    p_run.add_argument("--out", help="output path (default stdout)")
-    p_run.add_argument("--seed", type=_seed, default=0)
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify-tables",
@@ -389,18 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--corrupt", help="negative control: 'AliceLabel,HelperLabel'")
     p_verify.set_defaults(func=_cmd_verify_tables)
 
-    p_eff = sub.add_parser("efficiency", help="estimate the average transmission rate")
-    p_eff.add_argument("--protocol", required=True,
-                       choices=("p1", "p2", "nparty-ghz", "nparty-bell"))
-    _add_channel_flags(p_eff)
+    p_eff = sub.add_parser("efficiency", parents=[channel, output],
+                           help="estimate the average transmission rate")
     p_eff.add_argument("--samples", type=int, default=10000)
-    p_eff.add_argument("--seed", type=_seed, default=0)
     p_eff.add_argument("--analytic-only", action="store_true",
                        help="emit the closed form only, skip sampling")
-    p_eff.add_argument("--out", help="output path (default stdout)")
     p_eff.set_defaults(func=_cmd_efficiency)
 
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter, writing CSV")
+    p_sweep = sub.add_parser("sweep", parents=[output],
+                             help="sweep one parameter, writing CSV")
     p_sweep.add_argument("--protocol", required=True, choices=("p1", "p2"))
     p_sweep.add_argument("--param", required=True, help="swept parameter name")
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
@@ -413,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="basis weight: number, strategy:<name>, or the "
                               "swept parameter's name to track it")
     p_sweep.add_argument("--samples", type=int, default=10000)
-    p_sweep.add_argument("--seed", type=_seed, default=0)
-    p_sweep.add_argument("--out", help="output path (default stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser

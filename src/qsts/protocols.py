@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bases import BELL_LABELS, X_LABELS, _weight_norm, pair_anchors, pair_labels
+from .bases import BELL_LABELS, X_LABELS, _finite, _weight_norm, pair_anchors, pair_labels
 # The basis and channel constructors, ``measure``, ``tensor`` and ``fidelity``
 # are no longer called here; they stay bound because perfbench/spans.py
 # patches each layer at the names its callers bind.
@@ -253,19 +253,18 @@ def choose_m(
     Single-channel rules take ``n``; two-channel rules take ``n1``/``n2`` or,
     for the ``PRODUCT_RULES`` of the many-party extension, the full sequence
     ``ns``.  For "p2", ``n1`` is the helper's channel weight and ``n2`` the
-    receiver's: with the default Charlie receiver these are the runner's
-    ``n1``/``n2``, and with a Bob receiver they are its ``n2``/``n1``.  Only
-    the ratio rules (z/g) tell the two apart.  Conjugations are applied
-    literally: a rule written m* = 1/n yields conj(1/n).  A weight the rule
-    divides by that is exactly 0 raises ``DegenerateChannelError``; an m
-    beyond the range of a double raises ``ValueError``.
+    receiver's, as ``p2_channels`` orders a runner's weights.  Only the ratio
+    rules (z/g) tell the two apart.  Conjugations are applied literally: a
+    rule written m* = 1/n yields conj(1/n).  A non-finite weight, or an m
+    beyond the range of a double, raises ``ValueError``; a weight the rule
+    divides by that is exactly 0 raises ``DegenerateChannelError``.
     """
     s = _resolve_strategy(strategy)
     try:
         if s.protocol == "p1":
             if n is None:
                 raise ValueError(f"strategy {s.name!r} needs the channel weight n")
-            n = complex(n)
+            n = _finite(complex(n))
             if s.name == "phi-plus":
                 m = (1.0 / n).conjugate()
             elif s.name == "phi-minus":
@@ -279,7 +278,7 @@ def choose_m(
                 if n1 is None or n2 is None:
                     raise ValueError(f"strategy {s.name!r} needs channel weights n1 and n2")
                 ns = (n1, n2)
-            weights = tuple(complex(x) for x in ns)
+            weights = tuple(_finite(complex(x)) for x in ns)
             if s.name in PRODUCT_RULES:
                 m = _product_rule(weights, s.name.endswith("minus"))
             elif len(weights) != 2:
@@ -452,6 +451,27 @@ def compile_protocol(
     return CompiledProtocol(alice_labels, helper_labels, corrections, bits, diagonal)
 
 
+def _integer(value, name: str) -> int:
+    # a count or index that int() would truncate, or cannot convert, is refused
+    try:
+        if int(value) == value:
+            return int(value)
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def p2_channels(params: Mapping) -> tuple[complex, complex]:
+    """The channel weights of a "p2" parameter set as (helper's, receiver's).
+
+    The runner's ``n1`` is Bob's channel and ``n2`` Charlie's, so a Bob
+    ``receiver`` swaps them.  ``compile_params`` compiles the bell family's
+    channels in this order, and ``choose_m`` takes them as its ``n1``/``n2``.
+    """
+    n1, n2 = complex(params["n1"]), complex(params["n2"])
+    return (n2, n1) if params.get("receiver", "charlie") == "bob" else (n1, n2)
+
+
 def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, dict, str]:
     """Validate a runner parameter set and compile it.
 
@@ -469,27 +489,26 @@ def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, di
         receiver = params.get("receiver", "charlie")
         if receiver not in ("bob", "charlie"):
             raise ValueError(f"receiver must be 'bob' or 'charlie', got {receiver!r}")
-        index = None  # the last party; a Bob receiver of "p2" swaps the channels
+        index = None  # the last party, which p2_channels makes the receiver
     else:
         receiver, index = None, params.get("receiver_index")
     if protocol in ("p1", "nparty-ghz"):
         family, table, weights = "ghz", "TABLE1", (complex(params["n"]),)
-        num_parties = 3 if protocol == "p1" else int(params["parties"])
+        num_parties = 3 if protocol == "p1" else _integer(params["parties"], "parties")
         run_params = {"n": weights[0], "m": m}
         if protocol == "nparty-ghz":
             run_params["parties"] = num_parties
     elif protocol == "p2":
-        n1, n2 = complex(params["n1"]), complex(params["n2"])
         family, table, num_parties = "bell", "TABLE2", 3
-        weights = (n1, n2) if receiver == "charlie" else (n2, n1)
-        run_params = {"n1": n1, "n2": n2, "m": m}
+        weights = p2_channels(params)
+        run_params = {"n1": complex(params["n1"]), "n2": complex(params["n2"]), "m": m}
     elif protocol == "nparty-bell":
         family, table, weights = "bell", None, tuple(complex(x) for x in params["ns"])
         num_parties = len(weights) + 1
         run_params = {"ns": weights, "m": m}
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    r = num_parties - 1 if index is None else int(index)
+    r = num_parties - 1 if index is None else _integer(index, "receiver_index")
     name = receiver or f"party{r}"
     return compile_protocol(family, weights, m, num_parties, r, table), run_params, name
 

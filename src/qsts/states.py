@@ -77,7 +77,10 @@ class InputQubit:
         a, b = complex(self.alpha), complex(self.beta)
         if not all(math.isfinite(x) for x in (a.real, a.imag, b.real, b.imag)):
             raise ValueError("amplitudes must be finite")
-        weight = abs(a) ** 2 + abs(b) ** 2
+        try:
+            weight = abs(a) ** 2 + abs(b) ** 2
+        except OverflowError:  # a finite amplitude whose square is no double
+            weight = math.inf
         if abs(weight - 1.0) > NORM_ATOL:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {weight!r}, expected 1")
         object.__setattr__(self, "alpha", a)

@@ -2,14 +2,18 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qsts
 from qsts import strategy_targets
 
 RUN = [sys.executable, "-m", "qsts"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def invoke(*args, **kwargs):
@@ -77,10 +81,37 @@ def test_run_rejects_inconsistent_config():
     assert "needs --n" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, missing",
+    [
+        (("--protocol", "p2", "--n1", "0.5"), "p2 needs --n2"),
+        (("--protocol", "p2"), "p2 needs --n1 and --n2"),
+        (("--protocol", "nparty-ghz", "--n", "0.5"), "nparty-ghz needs --parties"),
+        (("--protocol", "nparty-ghz", "--parties", "4"), "nparty-ghz needs --n"),
+        (("--protocol", "nparty-bell"), "nparty-bell needs --n-list"),
+    ],
+    ids=("p2-n2", "p2-both", "ghz-parties", "ghz-n", "bell"),
+)
+def test_run_names_each_missing_channel_flag(args, missing):
+    result = invoke("run", *args, "--m", "1", "--input", "1,0,0,0")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {missing}\n"
+
+
 def test_run_rejects_unnormalised_input():
     result = invoke("run", "--protocol", "p1", "--n", "1", "--m", "1",
                     "--input", "1,0,1,0")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("amplitudes", ["1e200,0,0,0", "1e308,1e308,0,0"])
+def test_run_rejects_an_input_whose_weight_is_no_double(amplitudes):
+    result = invoke("run", "--protocol", "p1", "--n", "1", "--m", "1",
+                    "--input", amplitudes)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "expected 1" in result.stderr
 
 
 def test_degenerate_strategy_exit_code():
@@ -345,6 +376,22 @@ def test_sweep_unwritable_path():
     assert result.returncode != 0
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [("--from", "-1e308", "--to", "1e308", "--steps", "3"),
+     ("--from", "nan", "--to", "1", "--steps", "3"),
+     ("--from", "0.5", "--to", "inf", "--steps", "1"),
+     ("--from", "-inf", "--to", "1", "--steps", "3")],
+    ids=("span-overflows", "from-nan", "single-step-to-inf", "from-minus-inf"),
+)
+def test_sweep_refuses_non_finite_bounds_naming_them(bounds):
+    result = invoke("sweep", "--protocol", "p1", "--param", "n", *bounds,
+                    "--m", "0.5", "--samples", "5")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "--from" in result.stderr and "--to" in result.stderr
+
+
 def test_sweep_rejects_unknown_param():
     result = invoke("sweep", "--protocol", "p1", "--param", "n1", "--from", "0.1",
                     "--to", "0.5", "--steps", "2", "--m", "1")
@@ -383,3 +430,24 @@ def test_float_serialisation_round_trips():
     # 17 significant digits: parsing back and re-rendering is lossless
     rendered = format(probs[0], ".17g")
     assert float(rendered) == probs[0]
+
+
+# ── README ───────────────────────────────────────────────────────────────
+
+def _readme_commands():
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qsts ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_cli_command_runs(argv, tmp_path):
+    # from an empty directory, so an --out path lands in it
+    src = str(Path(qsts.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = invoke(*argv, cwd=tmp_path, env=env)
+    assert result.returncode == 0, result.stderr
+    if "--out" in argv:
+        assert (tmp_path / argv[argv.index("--out") + 1]).read_text().strip()
+    else:
+        assert result.stdout.strip()

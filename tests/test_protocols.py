@@ -147,6 +147,17 @@ def test_choose_m_degenerate_channel():
         choose_m("ghz-plus", n1=0, n2=0.5)
 
 
+@pytest.mark.parametrize("strategy, weights", [
+    ("phi-plus", {"n": float("nan")}),
+    ("ghz-minus", {"n1": float("inf"), "n2": 1}),
+    ("z-plus", {"n1": 0.5, "n2": complex(0, float("-inf"))}),
+    ("h-plus", {"ns": (0.5, float("nan"), 0.5)}),
+])
+def test_choose_m_refuses_a_non_finite_weight_as_such(strategy, weights):
+    with pytest.raises(ValueError, match="weights must be finite"):
+        choose_m(strategy, **weights)
+
+
 def test_strategy_real_weight_pairing():
     assert strategy_targets("phi-minus", real=True) == {"PhiMinus", "PsiPlus"}
     assert strategy_targets("psi-minus", real=True) == {"PhiPlus", "PsiMinus"}
@@ -442,6 +453,19 @@ def test_nparty_bounds():
         run_nparty_bell(GENERIC, [1], 1)
     with pytest.raises(ValueError):
         run_nparty_ghz(GENERIC, 4, 1, 1, receiver_index=0)
+
+
+def test_party_count_and_receiver_index_must_be_integers():
+    # int() would truncate these to 4 parties and party 1
+    with pytest.raises(ValueError, match="parties must be an integer, got 4.7"):
+        run_nparty_ghz(GENERIC, 4.7, 0.5, 0.5)
+    with pytest.raises(ValueError, match="receiver_index must be an integer, got 1.9"):
+        run_nparty_ghz(GENERIC, 4, 0.5, 0.5, receiver_index=1.9)
+    with pytest.raises(ValueError, match="receiver_index must be an integer"):
+        run_nparty_bell(GENERIC, [0.5, 0.5], 0.5, receiver_index=float("inf"))
+    run = run_nparty_ghz(GENERIC, np.int64(4), 0.5, 0.5, receiver_index=np.int32(1))
+    assert run.params["parties"] == 4 and run.receiver == "party1"
+    assert run_nparty_bell(GENERIC, [0.5, 0.5], 0.5, receiver_index=np.uint8(1)).receiver == "party1"
 
 
 def test_classical_bit_accounting():

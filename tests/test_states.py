@@ -52,6 +52,10 @@ def test_input_qubit_invariant():
         InputQubit(1.0, 1.0)
     with pytest.raises(ValueError):
         InputQubit(float("inf"), 0.0)
+    # finite amplitudes whose squared modulus is no double
+    for huge in (1e200, complex(1e308, 1e308)):
+        with pytest.raises(ValueError, match="expected 1"):
+            InputQubit(huge, 0.0)
 
 
 # ── tensor ───────────────────────────────────────────────────────────────
