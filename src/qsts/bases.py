@@ -11,13 +11,13 @@ tables and serialised runs can be keyed on them.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .rules import _weight_norm
 from .states import NORM_ATOL, PureState
 
 BELL_LABELS = ("PhiPlus", "PhiMinus", "PsiPlus", "PsiMinus")
@@ -49,19 +49,6 @@ class BasisSet:
         gram = stack.conj() @ stack.T
         if not np.allclose(gram, np.eye(dim), atol=NORM_ATOL):
             raise ValueError("basis states are not orthonormal")
-
-
-def _finite(w: complex) -> complex:
-    """``w`` itself; a non-finite weight raises ``ValueError``."""
-    if not cmath.isfinite(w):
-        raise ValueError(f"weights must be finite, got {w!r}")
-    return w
-
-
-def _weight_norm(m: complex) -> float:
-    """1/sqrt(1 + |m|^2) without overflow; every weight passes through here."""
-    _finite(m)
-    return 1.0 / math.hypot(1.0, m.real, m.imag)
 
 
 def _paired_kets(num_qubits: int, anchors: Sequence[int], w: complex) -> np.ndarray:

@@ -6,34 +6,27 @@ digits so repeated invocations are byte-identical.
 
 Exit codes: 0 success, 2 invalid arguments, 3 degenerate strategy,
 4 verification failure.
+
+Only ``rules`` is imported with this module, so argument errors, strategy
+resolution and ``efficiency --analytic-only`` run without numpy; the array
+engine is imported the first time a command needs it.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import importlib
 import math
+import numbers
 import sys
 from itertools import product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .rules import WEIGHTS, DegenerateChannelError, InputQubit, analytic_rate, choose_m, p2_channels
 
-from .efficiency import WEIGHTS, analytic_rate, cpro_monte_carlo, haar_sample
-from .protocols import (
-    FROZEN_TABLES,
-    DegenerateChannelError,
-    ProtocolRun,
-    choose_m,
-    p2_channels,
-    run_nparty_bell,
-    run_nparty_ghz,
-    run_protocol1,
-    run_protocol2,
-    verify_table1,
-    verify_table2,
-)
-from .states import InputQubit
+if TYPE_CHECKING:
+    from .protocols import ProtocolRun
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,10 +35,36 @@ EXIT_VERIFY_FAILED = 4
 
 # fixed grid exercised by verify-tables
 _VERIFY_WEIGHTS = (0.3, 0.7, 1.0)
-_VERIFY_INPUTS = (
-    InputQubit(0.6, 0.8j),
-    InputQubit(1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0) * np.exp(-1j * np.pi / 7.0)),
-)
+
+#: The array engine's entry points, by the module that defines them.  They
+#: are bound in this module on first use (``_bind_engine``), never over a
+#: name already bound: perfbench/spans.py patches them here, and the
+#: commands call whatever is bound.
+_ENGINE = {
+    "FROZEN_TABLES": "protocols",
+    "run_protocol1": "protocols",
+    "run_protocol2": "protocols",
+    "run_nparty_ghz": "protocols",
+    "run_nparty_bell": "protocols",
+    "verify_table1": "protocols",
+    "verify_table2": "protocols",
+    "cpro_monte_carlo": "efficiency",
+    "haar_sample": "efficiency",
+}
+
+
+def __getattr__(name: str):
+    # PEP 562: an engine entry point that is not bound yet binds on access
+    if name not in _ENGINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_ENGINE[name]}", __package__)
+    return globals().setdefault(name, getattr(module, name))
+
+
+def _bind_engine() -> None:
+    """Import the array engine and bind each of its entry points not yet bound."""
+    for name in _ENGINE.keys() - globals().keys():
+        __getattr__(name)
 
 
 class CliError(ValueError):
@@ -66,9 +85,9 @@ def render_json(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):  # numpy integers too
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):  # numpy floats too
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialise the non-finite number {obj!r} as JSON")
         return _format_float(obj)
@@ -151,6 +170,8 @@ def _parse_input(text: str, default_seed: int) -> InputQubit:
             seed = default_seed if text == "haar" else _seed(text.split(":", 1)[1])
         except argparse.ArgumentTypeError as exc:
             raise CliError(f"--input: {exc}") from None
+        import numpy as np
+        _bind_engine()
         return haar_sample(np.random.default_rng(seed))
     parts = text.split(",")
     if len(parts) != 4:
@@ -222,6 +243,7 @@ def _params(args, swept: tuple[str, float] | None = None) -> dict:
 
 def _execute(protocol: str, source: InputQubit, params: dict) -> ProtocolRun:
     # the runners are looked up per call: perfbench/spans.py patches these names
+    _bind_engine()
     if protocol == "nparty-ghz":
         params = dict(params)
         return run_nparty_ghz(source, params.pop("parties"), **params)
@@ -267,6 +289,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
+    import numpy as np
+    _bind_engine()
+    inputs = (
+        InputQubit(0.6, 0.8j),
+        InputQubit(1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0) * np.exp(-1j * np.pi / 7.0)),
+    )
     corrupt = None
     if args.corrupt:
         corrupt = tuple(args.corrupt.split(","))
@@ -279,7 +307,7 @@ def _cmd_verify_tables(args) -> int:
     tables = (("table1", verify_table1, 1), ("table2", verify_table2, 2))
     worst: dict[tuple[str, str, str], float] = {}
     for m in _VERIFY_WEIGHTS:
-        for source in _VERIFY_INPUTS:
+        for source in inputs:
             for table, verify, channels in tables:
                 for ns in product(_VERIFY_WEIGHTS, repeat=channels):
                     for check in verify(*ns, m, source, args.tolerance, corrupt):
@@ -305,6 +333,7 @@ def _cmd_efficiency(args) -> int:
         if doc["analytic"] is None:
             raise CliError("no closed form for this protocol/parameter combination")
     else:
+        _bind_engine()
         report = cpro_monte_carlo(args.protocol, params, args.samples, args.seed)
         doc = {"analytic": report.analytic, "estimate": report.estimate,
                "samples": report.samples, "std_error": report.std_error, "seed": report.seed}
@@ -329,6 +358,7 @@ def _cmd_sweep(args) -> int:
     if not all(map(math.isfinite, (args.start, args.stop, *values))):
         raise CliError("--from, --to and the span between them must be finite")
 
+    _bind_engine()
     rows = []
     for i, value in enumerate(values):
         params = _params(args, (swept, value))

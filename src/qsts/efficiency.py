@@ -2,11 +2,11 @@
 
 The efficiency of a protocol is the average qubit transmission rate
 sum_j <P_j F_j>, the expectation taken over Bloch-uniform inputs.  For real
-weights it has the closed forms implemented here.  The Monte-Carlo estimator
-computes the inner sum exactly per sampled input, sum_j P_j F_j =
-sum_j |a_j|alpha|^2 + b_j|beta|^2|^2 over the compiled diag(a_j, b_j), a
-fixed quadratic in |alpha|^2, so sampling noise comes only from the input
-average.
+weights it has closed forms, defined in ``rules`` and bound here.  The
+Monte-Carlo estimator computes the inner sum exactly per sampled input,
+sum_j P_j F_j = sum_j |a_j|alpha|^2 + b_j|beta|^2|^2 over the compiled
+diag(a_j, b_j), a fixed quadratic in |alpha|^2, so sampling noise comes only
+from the input average.
 """
 
 from __future__ import annotations
@@ -21,11 +21,16 @@ from .protocols import ProtocolRun, compile_params
 # The runners are no longer called here; they stay bound because
 # perfbench/spans.py patches each layer at the names its callers bind.
 from .protocols import run_nparty_bell, run_nparty_ghz, run_protocol1, run_protocol2  # noqa: F401
-from .states import InputQubit
-
-#: The weights that the closed-form protocols take, by name: the channel
-#: weights, then the basis weight m.
-WEIGHTS = {"p1": ("n", "m"), "p2": ("n1", "n2", "m")}
+# The closed forms are defined in ``rules``, which imports no numpy; they
+# stay public names of this module as well.
+from .rules import (  # noqa: F401
+    WEIGHTS,
+    InputQubit,
+    analytic_rate,
+    concurrence,
+    cpro1_analytic,
+    cpro2_analytic,
+)
 
 
 @dataclass(frozen=True)
@@ -42,44 +47,6 @@ class EfficiencyReport:
     samples: int
     std_error: float
     seed: int
-
-
-def _signed_concurrence(x: float) -> float:
-    # 2x/(1+x^2), with no overflow of x^2: equal to 2/(x + 1/x) for |x| > 1
-    return 2.0 / (x + 1.0 / x) if abs(x) > 1.0 else 2.0 * x / (1.0 + x * x)
-
-
-def concurrence(m: float) -> float:
-    """Pairwise entanglement 2|m|/(1+|m|^2) of the weight-m two-qubit states."""
-    return abs(_signed_concurrence(float(m)))
-
-
-def _closed_form(*weights: float) -> float:
-    # (2/3)(1 + prod c(w)/2), the factors multiplied in ascending order so the
-    # result is bitwise invariant under permutation of the weights
-    product = 1.0
-    for factor in sorted(_signed_concurrence(float(w)) for w in weights):
-        product *= factor
-    return (2.0 / 3.0) * (1.0 + product / 2.0)
-
-
-def cpro1_analytic(n: float, m: float) -> float:
-    """Average transmission rate of the GHZ-channel protocol, real weights.
-
-    (2/3)(1 + 2mn/((1+m^2)(1+n^2))) = (2/3)(1 + c(m)c(n)/2); equals 1 only
-    at m = n = 1.
-    """
-    return _closed_form(n, m)
-
-
-def cpro2_analytic(n1: float, n2: float, m: float) -> float:
-    """Average transmission rate of the two-Bell-channel protocol, real weights.
-
-    (2/3)(1 + 4 m n1 n2 / ((1+m^2)(1+n1^2)(1+n2^2))) = (2/3)(1 + c(m)c(n1)c(n2)/2);
-    invariant under any permutation of (m, n1, n2) and equal to 1 only at
-    m = n1 = n2 = 1.
-    """
-    return _closed_form(n1, n2, m)
 
 
 def haar_sample(rng: np.random.Generator) -> InputQubit:
@@ -101,23 +68,6 @@ def haar_sample(rng: np.random.Generator) -> InputQubit:
 def transmission_sum(run: ProtocolRun) -> float:
     """Exact sum of branch probability times fidelity for one run."""
     return sum(b.probability * b.fidelity for b in run.branches)
-
-
-def analytic_rate(protocol: str, params: Mapping) -> float | None:
-    """Closed-form rate for a runner parameter set, None where undefined.
-
-    Defined for the protocols of ``WEIGHTS``, "p1" and "p2", when every
-    weight they name is real: then the rate is (2/3)(1 + prod c(w)/2) over
-    those weights, c(x) = 2x/(1+x^2), which is ``cpro1_analytic`` or
-    ``cpro2_analytic``.  The many-party extensions and complex weights have
-    no closed form here.
-    """
-    if protocol not in WEIGHTS:
-        return None
-    values = [complex(params[name]) for name in WEIGHTS[protocol]]
-    if any(value.imag != 0.0 for value in values):
-        return None
-    return _closed_form(*(value.real for value in values))
 
 
 def cpro_monte_carlo(

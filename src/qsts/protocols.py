@@ -20,18 +20,15 @@ corrected state and its fidelity with the input.
 
 from __future__ import annotations
 
-import cmath
 import math
-import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
-from operator import mul
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bases import BELL_LABELS, X_LABELS, _finite, _weight_norm, pair_anchors, pair_labels
+from .bases import BELL_LABELS, X_LABELS, pair_anchors, pair_labels
 # The basis and channel constructors, ``measure``, ``tensor`` and ``fidelity``
 # are no longer called here; they stay bound because perfbench/spans.py
 # patches each layer at the names its callers bind.
@@ -44,6 +41,18 @@ from .bases import (  # noqa: F401
     x_basis,
 )
 from .measurement import measure  # noqa: F401
+# The m-strategies and p2's channel order are defined in ``rules``, which
+# imports no numpy; they stay public names of this module as well.
+from .rules import (  # noqa: F401
+    PRODUCT_RULES,
+    STRATEGIES,
+    DegenerateChannelError,
+    MStrategy,
+    _resolve_strategy,
+    _weight_norm,
+    choose_m,
+    p2_channels,
+)
 from .states import (
     IDENTITY,
     NORM_ATOL,
@@ -63,10 +72,6 @@ from .states import (
 
 #: Branches at or above this fidelity count as exact transfers.
 SUCCESS_FIDELITY = 1.0 - 1e-9
-
-
-class DegenerateChannelError(ValueError):
-    """An m-strategy rule would divide by a vanishing channel weight."""
 
 
 # Receiver corrections keyed on (Alice outcome, helper X outcome).  Matrix
@@ -148,154 +153,14 @@ class ProtocolRun:
 
     @property
     def success_probability(self) -> float:
-        return sum(b.probability for b in self.branches if b.fidelity > SUCCESS_FIDELITY)
+        return sum(b.probability for b in self.branches if b.fidelity >= SUCCESS_FIDELITY)
 
     @property
     def total_probability(self) -> float:
         return sum(b.probability for b in self.branches)
 
 
-# ── m-strategies ─────────────────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class MStrategy:
-    """A named rule fixing the basis weight m from the channel weights.
-
-    ``solo_target`` is the single outcome driven to fidelity 1 for complex
-    channel weights (single-channel protocol only); with real weights the
-    outcomes pair up and ``paired_targets`` apply.
-    """
-
-    name: str
-    protocol: str  # "p1" | "p2"
-    solo_target: str | None
-    paired_targets: tuple[str, ...]
-
-
-STRATEGIES: dict[str, MStrategy] = {
-    s.name: s
-    for s in (
-        MStrategy("phi-plus", "p1", "PhiPlus", ("PhiPlus", "PsiMinus")),
-        MStrategy("phi-minus", "p1", "PhiMinus", ("PhiMinus", "PsiPlus")),
-        MStrategy("psi-plus", "p1", "PsiPlus", ("PhiMinus", "PsiPlus")),
-        MStrategy("psi-minus", "p1", "PsiMinus", ("PhiPlus", "PsiMinus")),
-        MStrategy("ghz-plus", "p2", None, ("GHZPlus", "HPlus")),
-        MStrategy("h-plus", "p2", None, ("GHZPlus", "HPlus")),
-        MStrategy("ghz-minus", "p2", None, ("GHZMinus", "HMinus")),
-        MStrategy("h-minus", "p2", None, ("GHZMinus", "HMinus")),
-        MStrategy("z-plus", "p2", None, ("ZPlus", "GPlus")),
-        MStrategy("g-plus", "p2", None, ("ZPlus", "GPlus")),
-        MStrategy("z-minus", "p2", None, ("ZMinus", "GMinus")),
-        MStrategy("g-minus", "p2", None, ("ZMinus", "GMinus")),
-    )
-}
-
-
-#: The two-channel rules that set m from the product of the channel weights,
-#: and so apply to any number of Bell-type channels.
-PRODUCT_RULES = ("ghz-plus", "h-plus", "ghz-minus", "h-minus")
-
-
-def _resolve_strategy(strategy: MStrategy | str) -> MStrategy:
-    if isinstance(strategy, MStrategy):
-        return strategy
-    try:
-        return STRATEGIES[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}") from None
-
-
-def _split(z: complex) -> tuple[complex, int]:
-    # z = mantissa * 2**e, the mantissa's larger part in [0.5, 1)
-    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
-    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
-
-
-def _product_rule(weights: tuple[complex, ...], minus: bool) -> complex:
-    """m = prod(weights) for a minus rule, conj(1/prod(weights)) for a plus rule.
-
-    Where the plain product leaves the range of a double and no weight is 0,
-    a partial product may have over- or underflowed, so the product is
-    carried as a scaled mantissa and a binary exponent instead.
-    """
-    product = reduce(mul, weights, complex(1.0))
-    if 0 in weights or (product and cmath.isfinite(product)):
-        return product if minus else (1.0 / product).conjugate()
-    mantissa, exponent = complex(1.0), 0
-    for w in weights:
-        factor, e = _split(w)
-        mantissa, shift = _split(mantissa * factor)
-        exponent += e + shift
-    if not minus:
-        mantissa, exponent = (1.0 / mantissa).conjugate(), -exponent
-    try:
-        m = complex(math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent))
-    except OverflowError:
-        return complex(math.inf)
-    if max(abs(m.real), abs(m.imag)) < sys.float_info.min:
-        # m is 0 or subnormal: keep a zero of the plain rule, sign and all
-        plain = product if minus or not product else (1.0 / product).conjugate()
-        if plain == 0:
-            return plain
-    return m
-
-
-def choose_m(
-    strategy: MStrategy | str,
-    *,
-    n: complex | float | None = None,
-    n1: complex | float | None = None,
-    n2: complex | float | None = None,
-    ns: Sequence[complex | float] | None = None,
-) -> complex:
-    """Resolve the basis weight mandated by a named strategy.
-
-    Single-channel rules take ``n``; two-channel rules take ``n1``/``n2`` or,
-    for the ``PRODUCT_RULES`` of the many-party extension, the full sequence
-    ``ns``.  For "p2", ``n1`` is the helper's channel weight and ``n2`` the
-    receiver's, as ``p2_channels`` orders a runner's weights.  Only the ratio
-    rules (z/g) tell the two apart.  Conjugations are applied literally: a
-    rule written m* = 1/n yields conj(1/n).  A non-finite weight, or an m
-    beyond the range of a double, raises ``ValueError``; a weight the rule
-    divides by that is exactly 0 raises ``DegenerateChannelError``.
-    """
-    s = _resolve_strategy(strategy)
-    try:
-        if s.protocol == "p1":
-            if n is None:
-                raise ValueError(f"strategy {s.name!r} needs the channel weight n")
-            n = _finite(complex(n))
-            if s.name == "phi-plus":
-                m = (1.0 / n).conjugate()
-            elif s.name == "phi-minus":
-                m = n
-            elif s.name == "psi-plus":
-                m = n.conjugate()
-            else:
-                m = 1.0 / n  # psi-minus
-        else:
-            if ns is None:
-                if n1 is None or n2 is None:
-                    raise ValueError(f"strategy {s.name!r} needs channel weights n1 and n2")
-                ns = (n1, n2)
-            weights = tuple(_finite(complex(x)) for x in ns)
-            if s.name in PRODUCT_RULES:
-                m = _product_rule(weights, s.name.endswith("minus"))
-            elif len(weights) != 2:
-                raise ValueError(f"strategy {s.name!r} applies to exactly two channels")
-            elif s.name in ("z-plus", "g-plus"):
-                m = (weights[0] / weights[1]).conjugate()
-            else:
-                m = weights[1] / weights[0]  # z-minus / g-minus
-    except ZeroDivisionError:
-        raise DegenerateChannelError(
-            f"strategy {s.name!r} is undefined for a vanishing channel weight"
-        ) from None
-    if not cmath.isfinite(m):
-        raise ValueError(f"strategy {s.name!r} puts the basis weight m beyond the range "
-                         "of a double for these channel weights")
-    return m
-
+# ── m-strategy targets ───────────────────────────────────────────────────
 
 def strategy_targets(strategy: MStrategy | str, *, real: bool = True) -> frozenset[str]:
     """Alice outcomes driven to fidelity 1 by a strategy.
@@ -461,15 +326,13 @@ def _integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def p2_channels(params: Mapping) -> tuple[complex, complex]:
-    """The channel weights of a "p2" parameter set as (helper's, receiver's).
-
-    The runner's ``n1`` is Bob's channel and ``n2`` Charlie's, so a Bob
-    ``receiver`` swaps them.  ``compile_params`` compiles the bell family's
-    channels in this order, and ``choose_m`` takes them as its ``n1``/``n2``.
-    """
-    n1, n2 = complex(params["n1"]), complex(params["n2"])
-    return (n2, n1) if params.get("receiver", "charlie") == "bob" else (n1, n2)
+#: The parameters each protocol's runner takes, by name.
+_PARAMETERS = {
+    "p1": frozenset(("n", "m", "receiver")),
+    "p2": frozenset(("n1", "n2", "m", "receiver")),
+    "nparty-ghz": frozenset(("parties", "n", "m", "receiver_index")),
+    "nparty-bell": frozenset(("ns", "m", "receiver_index")),
+}
 
 
 def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, dict, str]:
@@ -479,11 +342,17 @@ def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, di
     m} for "p2", {parties, n, m} for "nparty-ghz" and {ns, m} for
     "nparty-bell", plus an optional ``receiver`` ("bob" or "charlie", default
     charlie) for the first two and ``receiver_index`` (1..N-1, default N-1)
-    for the others; any other receiver raises ``ValueError``.  Every runner
-    and the Monte-Carlo estimator validate through here.  Returns the
-    instrument, the weights as ``ProtocolRun`` records them, and the
-    receiver's name.
+    for the others; any other receiver, and any other key, raises
+    ``ValueError``.  Every runner and the Monte-Carlo estimator validate
+    through here.  Returns the instrument, the weights as ``ProtocolRun``
+    records them, and the receiver's name.
     """
+    accepted = _PARAMETERS.get(protocol)
+    if accepted is None:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if not params.keys() <= accepted:
+        unexpected = ", ".join(sorted(map(repr, params.keys() - accepted)))
+        raise ValueError(f"{protocol} takes no parameter {unexpected}")
     m = complex(params["m"])
     if protocol in ("p1", "p2"):
         receiver = params.get("receiver", "charlie")
@@ -502,12 +371,10 @@ def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, di
         family, table, num_parties = "bell", "TABLE2", 3
         weights = p2_channels(params)
         run_params = {"n1": complex(params["n1"]), "n2": complex(params["n2"]), "m": m}
-    elif protocol == "nparty-bell":
+    else:  # nparty-bell
         family, table, weights = "bell", None, tuple(complex(x) for x in params["ns"])
         num_parties = len(weights) + 1
         run_params = {"ns": weights, "m": m}
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
     r = num_parties - 1 if index is None else _integer(index, "receiver_index")
     name = receiver or f"party{r}"
     return compile_protocol(family, weights, m, num_parties, r, table), run_params, name

@@ -1,0 +1,280 @@
+"""Scalar rules: weight checks, the input qubit, m-strategies and closed-form rates.
+
+Nothing here needs a state vector, so this module imports no numpy: the CLI
+parses and validates its arguments, resolves m-strategies and answers
+closed-form queries from it alone, and loads the array engine only for the
+commands that compute arrays.  ``states``, ``bases``, ``protocols`` and
+``efficiency`` import these names from here, so each has one definition.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+import sys
+from dataclasses import dataclass
+from functools import reduce
+from operator import mul
+from typing import Mapping, Sequence
+
+NORM_ATOL = 1e-10          # unit-norm tolerance on constructed states
+
+
+# ── weights and the input qubit ──────────────────────────────────────────
+
+def _finite(w: complex) -> complex:
+    """``w`` itself; a non-finite weight raises ``ValueError``."""
+    if not cmath.isfinite(w):
+        raise ValueError(f"weights must be finite, got {w!r}")
+    return w
+
+
+def _weight_norm(m: complex) -> float:
+    """1/sqrt(1 + |m|^2) without overflow; every weight passes through here."""
+    _finite(m)
+    return 1.0 / math.hypot(1.0, m.real, m.imag)
+
+
+@dataclass(frozen=True)
+class InputQubit:
+    """The qubit to be shared: alpha|0> + beta|1> with |alpha|^2+|beta|^2 = 1."""
+
+    alpha: complex
+    beta: complex
+
+    def __post_init__(self) -> None:
+        a, b = complex(self.alpha), complex(self.beta)
+        if not all(math.isfinite(x) for x in (a.real, a.imag, b.real, b.imag)):
+            raise ValueError("amplitudes must be finite")
+        try:
+            weight = abs(a) ** 2 + abs(b) ** 2
+        except OverflowError:  # a finite amplitude whose square is no double
+            weight = math.inf
+        if abs(weight - 1.0) > NORM_ATOL:
+            raise ValueError(f"|alpha|^2 + |beta|^2 = {weight!r}, expected 1")
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
+
+    def as_state(self):
+        """The input as a one-qubit ``PureState``."""
+        from .states import PureState
+        return PureState(1, (self.alpha, self.beta))
+
+
+class DegenerateChannelError(ValueError):
+    """An m-strategy rule would divide by a vanishing channel weight."""
+
+
+# ── m-strategies ─────────────────────────────────────────────────────────
+
+@dataclass(frozen=True)
+class MStrategy:
+    """A named rule fixing the basis weight m from the channel weights.
+
+    ``solo_target`` is the single outcome driven to fidelity 1 for complex
+    channel weights (single-channel protocol only); with real weights the
+    outcomes pair up and ``paired_targets`` apply.
+    """
+
+    name: str
+    protocol: str  # "p1" | "p2"
+    solo_target: str | None
+    paired_targets: tuple[str, ...]
+
+
+STRATEGIES: dict[str, MStrategy] = {
+    s.name: s
+    for s in (
+        MStrategy("phi-plus", "p1", "PhiPlus", ("PhiPlus", "PsiMinus")),
+        MStrategy("phi-minus", "p1", "PhiMinus", ("PhiMinus", "PsiPlus")),
+        MStrategy("psi-plus", "p1", "PsiPlus", ("PhiMinus", "PsiPlus")),
+        MStrategy("psi-minus", "p1", "PsiMinus", ("PhiPlus", "PsiMinus")),
+        MStrategy("ghz-plus", "p2", None, ("GHZPlus", "HPlus")),
+        MStrategy("h-plus", "p2", None, ("GHZPlus", "HPlus")),
+        MStrategy("ghz-minus", "p2", None, ("GHZMinus", "HMinus")),
+        MStrategy("h-minus", "p2", None, ("GHZMinus", "HMinus")),
+        MStrategy("z-plus", "p2", None, ("ZPlus", "GPlus")),
+        MStrategy("g-plus", "p2", None, ("ZPlus", "GPlus")),
+        MStrategy("z-minus", "p2", None, ("ZMinus", "GMinus")),
+        MStrategy("g-minus", "p2", None, ("ZMinus", "GMinus")),
+    )
+}
+
+
+#: The two-channel rules that set m from the product of the channel weights,
+#: and so apply to any number of Bell-type channels.
+PRODUCT_RULES = ("ghz-plus", "h-plus", "ghz-minus", "h-minus")
+
+
+def _resolve_strategy(strategy: MStrategy | str) -> MStrategy:
+    if isinstance(strategy, MStrategy):
+        return strategy
+    try:
+        return STRATEGIES[strategy]
+    except KeyError:
+        raise ValueError(f"unknown strategy {strategy!r}") from None
+
+
+def _split(z: complex) -> tuple[complex, int]:
+    # z = mantissa * 2**e, the mantissa's larger part in [0.5, 1)
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
+
+
+def _product_rule(weights: tuple[complex, ...], minus: bool) -> complex:
+    """m = prod(weights) for a minus rule, conj(1/prod(weights)) for a plus rule.
+
+    Where the plain product leaves the range of a double and no weight is 0,
+    a partial product may have over- or underflowed, so the product is
+    carried as a scaled mantissa and a binary exponent instead.
+    """
+    product = reduce(mul, weights, complex(1.0))
+    if 0 in weights or (product and cmath.isfinite(product)):
+        return product if minus else (1.0 / product).conjugate()
+    mantissa, exponent = complex(1.0), 0
+    for w in weights:
+        factor, e = _split(w)
+        mantissa, shift = _split(mantissa * factor)
+        exponent += e + shift
+    if not minus:
+        mantissa, exponent = (1.0 / mantissa).conjugate(), -exponent
+    try:
+        m = complex(math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent))
+    except OverflowError:
+        return complex(math.inf)
+    if max(abs(m.real), abs(m.imag)) < sys.float_info.min:
+        # m is 0 or subnormal: keep a zero of the plain rule, sign and all
+        plain = product if minus or not product else (1.0 / product).conjugate()
+        if plain == 0:
+            return plain
+    return m
+
+
+def choose_m(
+    strategy: MStrategy | str,
+    *,
+    n: complex | float | None = None,
+    n1: complex | float | None = None,
+    n2: complex | float | None = None,
+    ns: Sequence[complex | float] | None = None,
+) -> complex:
+    """Resolve the basis weight mandated by a named strategy.
+
+    Single-channel rules take ``n``; two-channel rules take ``n1``/``n2`` or,
+    for the ``PRODUCT_RULES`` of the many-party extension, the full sequence
+    ``ns``.  For "p2", ``n1`` is the helper's channel weight and ``n2`` the
+    receiver's, as ``p2_channels`` orders a runner's weights.  Only the ratio
+    rules (z/g) tell the two apart.  Conjugations are applied literally: a
+    rule written m* = 1/n yields conj(1/n).  A non-finite weight, or an m
+    beyond the range of a double, raises ``ValueError``; a weight the rule
+    divides by that is exactly 0 raises ``DegenerateChannelError``.
+    """
+    s = _resolve_strategy(strategy)
+    try:
+        if s.protocol == "p1":
+            if n is None:
+                raise ValueError(f"strategy {s.name!r} needs the channel weight n")
+            n = _finite(complex(n))
+            if s.name == "phi-plus":
+                m = (1.0 / n).conjugate()
+            elif s.name == "phi-minus":
+                m = n
+            elif s.name == "psi-plus":
+                m = n.conjugate()
+            else:
+                m = 1.0 / n  # psi-minus
+        else:
+            if ns is None:
+                if n1 is None or n2 is None:
+                    raise ValueError(f"strategy {s.name!r} needs channel weights n1 and n2")
+                ns = (n1, n2)
+            weights = tuple(_finite(complex(x)) for x in ns)
+            if s.name in PRODUCT_RULES:
+                m = _product_rule(weights, s.name.endswith("minus"))
+            elif len(weights) != 2:
+                raise ValueError(f"strategy {s.name!r} applies to exactly two channels")
+            elif s.name in ("z-plus", "g-plus"):
+                m = (weights[0] / weights[1]).conjugate()
+            else:
+                m = weights[1] / weights[0]  # z-minus / g-minus
+    except ZeroDivisionError:
+        raise DegenerateChannelError(
+            f"strategy {s.name!r} is undefined for a vanishing channel weight"
+        ) from None
+    if not cmath.isfinite(m):
+        raise ValueError(f"strategy {s.name!r} puts the basis weight m beyond the range "
+                         "of a double for these channel weights")
+    return m
+
+
+def p2_channels(params: Mapping) -> tuple[complex, complex]:
+    """The channel weights of a "p2" parameter set as (helper's, receiver's).
+
+    The runner's ``n1`` is Bob's channel and ``n2`` Charlie's, so a Bob
+    ``receiver`` swaps them.  ``compile_params`` compiles the bell family's
+    channels in this order, and ``choose_m`` takes them as its ``n1``/``n2``.
+    """
+    n1, n2 = complex(params["n1"]), complex(params["n2"])
+    return (n2, n1) if params.get("receiver", "charlie") == "bob" else (n1, n2)
+
+
+# ── closed-form rates ────────────────────────────────────────────────────
+
+#: The weights that the closed-form protocols take, by name: the channel
+#: weights, then the basis weight m.
+WEIGHTS = {"p1": ("n", "m"), "p2": ("n1", "n2", "m")}
+
+
+def _signed_concurrence(x: float) -> float:
+    # 2x/(1+x^2), with no overflow of x^2: equal to 2/(x + 1/x) for |x| > 1
+    return 2.0 / (x + 1.0 / x) if abs(x) > 1.0 else 2.0 * x / (1.0 + x * x)
+
+
+def concurrence(m: float) -> float:
+    """Pairwise entanglement 2|m|/(1+|m|^2) of the weight-m two-qubit states."""
+    return abs(_signed_concurrence(float(m)))
+
+
+def _closed_form(*weights: float) -> float:
+    # (2/3)(1 + prod c(w)/2), the factors multiplied in ascending order so the
+    # result is bitwise invariant under permutation of the weights
+    product = 1.0
+    for factor in sorted(_signed_concurrence(float(w)) for w in weights):
+        product *= factor
+    return (2.0 / 3.0) * (1.0 + product / 2.0)
+
+
+def cpro1_analytic(n: float, m: float) -> float:
+    """Average transmission rate of the GHZ-channel protocol, real weights.
+
+    (2/3)(1 + 2mn/((1+m^2)(1+n^2))) = (2/3)(1 + c(m)c(n)/2); equals 1 only
+    at m = n = 1.
+    """
+    return _closed_form(n, m)
+
+
+def cpro2_analytic(n1: float, n2: float, m: float) -> float:
+    """Average transmission rate of the two-Bell-channel protocol, real weights.
+
+    (2/3)(1 + 4 m n1 n2 / ((1+m^2)(1+n1^2)(1+n2^2))) = (2/3)(1 + c(m)c(n1)c(n2)/2);
+    invariant under any permutation of (m, n1, n2) and equal to 1 only at
+    m = n1 = n2 = 1.
+    """
+    return _closed_form(n1, n2, m)
+
+
+def analytic_rate(protocol: str, params: Mapping) -> float | None:
+    """Closed-form rate for a runner parameter set, None where undefined.
+
+    Defined for the protocols of ``WEIGHTS``, "p1" and "p2", when every
+    weight they name is real: then the rate is (2/3)(1 + prod c(w)/2) over
+    those weights, c(x) = 2x/(1+x^2), which is ``cpro1_analytic`` or
+    ``cpro2_analytic``.  The many-party extensions and complex weights have
+    no closed form here.
+    """
+    if protocol not in WEIGHTS:
+        return None
+    values = [complex(params[name]) for name in WEIGHTS[protocol]]
+    if any(value.imag != 0.0 for value in values):
+        return None
+    return _closed_form(*(value.real for value in values))

@@ -7,12 +7,14 @@ For a three-qubit register, |011> lives at amplitude index 3.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-NORM_ATOL = 1e-10          # unit-norm tolerance on constructed states
+# ``InputQubit`` is defined in ``rules``, which imports no numpy; it stays a
+# public name of this module.
+from .rules import NORM_ATOL, InputQubit  # noqa: F401
+
 UNITARY_ATOL = 1e-12       # entrywise tolerance for U†U = I
 ZERO_NORM_THRESHOLD = 1e-14  # joint-branch probability below which a branch is dead
 
@@ -64,30 +66,6 @@ def _fresh_state(num_qubits: int, amplitudes: np.ndarray) -> PureState:
     object.__setattr__(state, "num_qubits", num_qubits)
     object.__setattr__(state, "amplitudes", amplitudes)
     return state
-
-
-@dataclass(frozen=True)
-class InputQubit:
-    """The qubit to be shared: alpha|0> + beta|1> with |alpha|^2+|beta|^2 = 1."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self) -> None:
-        a, b = complex(self.alpha), complex(self.beta)
-        if not all(math.isfinite(x) for x in (a.real, a.imag, b.real, b.imag)):
-            raise ValueError("amplitudes must be finite")
-        try:
-            weight = abs(a) ** 2 + abs(b) ** 2
-        except OverflowError:  # a finite amplitude whose square is no double
-            weight = math.inf
-        if abs(weight - 1.0) > NORM_ATOL:
-            raise ValueError(f"|alpha|^2 + |beta|^2 = {weight!r}, expected 1")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-
-    def as_state(self) -> PureState:
-        return PureState(1, np.array([self.alpha, self.beta]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -221,10 +221,14 @@ def test_product_rule_survives_a_partial_underflow():
 
 
 def test_render_json_refuses_non_finite_floats():
+    import numpy as np
+
     from qsts.cli import render_json
 
     assert render_json({"x": 0.5}) == '{\n  "x": 0.5\n}'
-    for bad in (float("nan"), float("inf"), float("-inf")):
+    # numpy scalars are numbers.Integral / numbers.Real
+    assert render_json([np.int64(3), np.float64(0.1)]) == "[\n  3,\n  0.10000000000000001\n]"
+    for bad in (float("nan"), float("inf"), float("-inf"), np.float64("nan")):
         with pytest.raises(ValueError):
             render_json({"analytic": bad})
 

@@ -25,7 +25,7 @@ from qsts import (
     run_protocol2,
     transmission_sum,
 )
-from qsts.efficiency import _closed_form
+from qsts.rules import _closed_form
 from qsts.protocols import PRODUCT_RULES, compile_params
 
 EXTREME_WEIGHTS = (1e155, 1e300, -1e308, 1e-300)

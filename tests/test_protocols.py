@@ -34,8 +34,8 @@ from qsts import (
     verify_table1,
     verify_table2,
 )
-from qsts.protocols import compile_params
-from qsts.states import SIGMA_X
+from qsts.protocols import SUCCESS_FIDELITY, BranchRecord, ProtocolRun, compile_params
+from qsts.states import IDENTITY, SIGMA_X
 
 GENERIC = InputQubit(0.6, 0.8)
 
@@ -466,6 +466,28 @@ def test_party_count_and_receiver_index_must_be_integers():
     run = run_nparty_ghz(GENERIC, np.int64(4), 0.5, 0.5, receiver_index=np.int32(1))
     assert run.params["parties"] == 4 and run.receiver == "party1"
     assert run_nparty_bell(GENERIC, [0.5, 0.5], 0.5, receiver_index=np.uint8(1)).receiver == "party1"
+
+
+def test_success_probability_counts_a_branch_at_the_threshold():
+    # branches at or above SUCCESS_FIDELITY are exact transfers
+    def branch(probability, fid):
+        return BranchRecord("PhiPlus", ("XPlus",), probability, None, fid, IDENTITY, 3)
+    run = ProtocolRun("p1", GENERIC, {}, "charlie", (
+        branch(0.25, SUCCESS_FIDELITY),
+        branch(0.5, np.nextafter(SUCCESS_FIDELITY, 0.0)),
+        branch(0.25, 1.0),
+    ))
+    assert run.success_probability == 0.5
+
+
+@pytest.mark.parametrize("protocol, params, unexpected", [
+    ("nparty-ghz", {"parties": 4, "n": 0.5, "m": 0.5, "receiver": "bob"}, "'receiver'"),
+    ("p1", {"n": 0.5, "m": 0.5, "receiver_index": 1}, "'receiver_index'"),
+    ("p1", {"n": 0.5, "m": 0.5, "bogus": 1}, "'bogus'"),
+])
+def test_compile_params_refuses_keys_its_protocol_does_not_read(protocol, params, unexpected):
+    with pytest.raises(ValueError, match=unexpected):
+        compile_params(protocol, params)
 
 
 def test_classical_bit_accounting():
