@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rules import _weight_norm
+from .rules import _integer, _weight_norm
 from .states import NORM_ATOL, PureState
 
 BELL_LABELS = ("PhiPlus", "PhiMinus", "PsiPlus", "PsiMinus")
@@ -119,9 +119,9 @@ def generalized_pair_basis(num_qubits: int, m: complex | float) -> BasisSet:
     over the even bit strings and s̄ the bitwise complement; reduces to
     ``generalized_ghz_basis`` at three qubits.
     """
+    num_qubits = _integer(num_qubits, "num_qubits")
     if not 3 <= num_qubits <= 10:
         raise ValueError("paired family supported for 3..10 qubits")
-    num_qubits = int(num_qubits)
     return _paired_basis(pair_labels(num_qubits), num_qubits, range(0, 1 << num_qubits, 2), m)
 
 
@@ -133,9 +133,9 @@ def x_basis() -> BasisSet:
 
 def channel_ghz(n: complex | float, num_qubits: int = 3) -> PureState:
     """Partially entangled channel N(|0...0> + n|1...1>); maximal at n = 1."""
+    num_qubits = _integer(num_qubits, "num_qubits")
     if not 2 <= num_qubits <= 12:
         raise ValueError("channel supported for 2..12 qubits")
-    num_qubits = int(num_qubits)
     return PureState(num_qubits, _paired_kets(num_qubits, (0,), complex(n))[0])
 
 

@@ -23,7 +23,8 @@ import sys
 from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
-from .rules import WEIGHTS, DegenerateChannelError, InputQubit, analytic_rate, choose_m, p2_channels
+from .rules import (PRESETS, WEIGHTS, DegenerateChannelError, InputQubit, analytic_rate,
+                    choose_m, p2_channels)
 
 if TYPE_CHECKING:
     from .protocols import ProtocolRun
@@ -186,16 +187,6 @@ def _parse_input(text: str, default_seed: int) -> InputQubit:
         raise CliError(str(exc)) from None
 
 
-#: Each protocol's channel parameters as ``compile_params`` names them, and
-#: the parameter that ``--receiver`` sets.
-_PRESETS = {
-    "p1": (("n",), "receiver"),
-    "p2": (("n1", "n2"), "receiver"),
-    "nparty-ghz": (("n", "parties"), "receiver_index"),
-    "nparty-bell": (("ns",), "receiver_index"),
-}
-
-
 def _parse_weight(name: str, value):
     if name == "ns":
         return tuple(_parse_complex(p, "--n-list") for p in value.split(","))
@@ -219,8 +210,8 @@ def _params(args, swept: tuple[str, float] | None = None) -> dict:
     the flags, and m takes the value when m is swept or ``--m`` names it.
     """
     name, value = swept or (None, None)
-    names, receiver_key = _PRESETS[args.protocol]
-    names = [n for n in names if n != name]
+    preset = PRESETS[args.protocol]  # every parameter but m is the dest of a flag
+    names = [n for n in preset.params if n not in ("m", name)]
     missing = ["--n-list" if n == "ns" else f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
         raise CliError(f"{args.protocol} needs {' and '.join(missing)}")
@@ -229,12 +220,12 @@ def _params(args, swept: tuple[str, float] | None = None) -> dict:
         params[name] = value
     receiver = getattr(args, "receiver", None)  # only ``run`` takes --receiver
     if receiver is not None:
-        params[receiver_key] = receiver  # p2_channels reads a name, compile_params checks it
+        params[preset.receiver] = receiver  # p2_channels reads a name, compile_params checks it
     tracks = name is not None and name in ("m", args.m)
     params["m"] = complex(value) if tracks else _resolve_m(args.m, params)
-    if receiver is not None and receiver_key == "receiver_index":  # m's errors come first
+    if receiver is not None and preset.receiver == "receiver_index":  # m's errors come first
         try:
-            params[receiver_key] = int(receiver)
+            params[preset.receiver] = int(receiver)
         except ValueError:
             raise CliError("--receiver must be a party index for many-party "
                            "protocols") from None
@@ -384,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", help="output path (default stdout)")
 
     channel = argparse.ArgumentParser(add_help=False)
-    channel.add_argument("--protocol", required=True,
-                         choices=("p1", "p2", "nparty-ghz", "nparty-bell"))
+    channel.add_argument("--protocol", required=True, choices=tuple(PRESETS))
     channel.add_argument("--n", help="channel weight (p1, nparty-ghz)")
     channel.add_argument("--n1", help="first channel weight (p2)")
     channel.add_argument("--n2", help="second channel weight (p2)")
@@ -418,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[output],
                              help="sweep one parameter, writing CSV")
-    p_sweep.add_argument("--protocol", required=True, choices=("p1", "p2"))
+    p_sweep.add_argument("--protocol", required=True, choices=tuple(WEIGHTS))
     p_sweep.add_argument("--param", required=True, help="swept parameter name")
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)

@@ -26,6 +26,7 @@ from .protocols import run_nparty_bell, run_nparty_ghz, run_protocol1, run_proto
 from .rules import (  # noqa: F401
     WEIGHTS,
     InputQubit,
+    _integer,
     analytic_rate,
     concurrence,
     cpro1_analytic,
@@ -79,15 +80,16 @@ def cpro_monte_carlo(
 ) -> EfficiencyReport:
     """Average the exact per-input transmission sum over Haar-random inputs.
 
-    ``params`` holds the runner arguments, validated as the runners validate
-    them (``compile_params``): {n, m} for "p1", {n1, n2, m} for "p2",
-    {parties, n, m} for "nparty-ghz", {ns, m} for "nparty-bell", with an
-    optional ``receiver`` or ``receiver_index``.  Each sample's input comes
-    from its own generator spawned from the master seed.  Every sample's
-    sum_j |a_j u + b_j v|^2, u = |alpha|^2 and v = |beta|^2, is A u^2 + D v^2
-    + B u v: A = sum |a_j|^2, D = sum |b_j|^2, B = 2 Re sum a_j conj(b_j).
-    ``threads`` is accepted and ignored.
+    ``params`` holds the runner arguments, named as the protocol's row of
+    ``rules.PRESETS`` names them and validated as the runners validate them
+    (``compile_params``).  ``samples`` (at least 1) and ``seed`` (at least
+    0) are integers; anything else raises ``ValueError``.  Each sample's
+    input comes from its own generator spawned from the master seed.  Every
+    sample's sum_j |a_j u + b_j v|^2, u = |alpha|^2 and v = |beta|^2, is
+    A u^2 + D v^2 + B u v: A = sum |a_j|^2, D = sum |b_j|^2,
+    B = 2 Re sum a_j conj(b_j).  ``threads`` is accepted and ignored.
     """
+    samples, seed = _integer(samples, "samples"), _integer(seed, "seed")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if seed < 0:

@@ -41,15 +41,19 @@ from .bases import (  # noqa: F401
     x_basis,
 )
 from .measurement import measure  # noqa: F401
-# The m-strategies and p2's channel order are defined in ``rules``, which
-# imports no numpy; they stay public names of this module as well.
+# The m-strategies, p2's channel order, the party caps and the parameter
+# check are defined in ``rules``, which imports no numpy; they stay public
+# names of this module as well.
 from .rules import (  # noqa: F401
+    PARTY_CAPS,
     PRODUCT_RULES,
     STRATEGIES,
     DegenerateChannelError,
     MStrategy,
+    _check_parties,
     _resolve_strategy,
     _weight_norm,
+    check_params,
     choose_m,
     p2_channels,
 )
@@ -216,10 +220,6 @@ class CompiledProtocol:
     diagonal: np.ndarray
 
 
-#: The fewest and most parties each channel family's runners take.
-PARTY_CAPS = {"ghz": (3, 10), "bell": (3, 6)}
-
-
 @lru_cache(maxsize=64)  # every (family, N, receiver, table) a runner reaches: 59
 def _layout(family: str, num_parties: int, receiver: int, table: str | None):
     """The weight-independent part: labels, corrections, classical bits, terms.
@@ -232,13 +232,7 @@ def _layout(family: str, num_parties: int, receiver: int, table: str | None):
     the correction's entry at (c, the term's receiver bit), which must be
     +-1, times the helpers' X sign (-1)^(sum_h x_h s_h).
     """
-    if family not in PARTY_CAPS:
-        raise ValueError(f"unknown channel family {family!r}")
-    low, high = PARTY_CAPS[family]
-    if not low <= num_parties <= high:
-        raise ValueError(f"the {family} family takes {low}..{high} parties, got {num_parties}")
-    if not 1 <= receiver <= num_parties - 1:
-        raise ValueError(f"receiver_index {receiver} out of range for {num_parties} parties")
+    _check_parties(family, num_parties, receiver)
     channels = 1 if family == "ghz" else num_parties - 1
     if family == "ghz":
         # Bell pairs anchored at 00 and 01 on (input, channel qubit), the
@@ -316,68 +310,16 @@ def compile_protocol(
     return CompiledProtocol(alice_labels, helper_labels, corrections, bits, diagonal)
 
 
-def _integer(value, name: str) -> int:
-    # a count or index that int() would truncate, or cannot convert, is refused
-    try:
-        if int(value) == value:
-            return int(value)
-    except (OverflowError, ValueError):
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-#: The parameters each protocol's runner takes, by name.
-_PARAMETERS = {
-    "p1": frozenset(("n", "m", "receiver")),
-    "p2": frozenset(("n1", "n2", "m", "receiver")),
-    "nparty-ghz": frozenset(("parties", "n", "m", "receiver_index")),
-    "nparty-bell": frozenset(("ns", "m", "receiver_index")),
-}
-
-
 def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, dict, str]:
-    """Validate a runner parameter set and compile it.
+    """Validate a runner parameter set (``rules.check_params``) and compile it.
 
-    ``params`` holds a runner's arguments by name: {n, m} for "p1", {n1, n2,
-    m} for "p2", {parties, n, m} for "nparty-ghz" and {ns, m} for
-    "nparty-bell", plus an optional ``receiver`` ("bob" or "charlie", default
-    charlie) for the first two and ``receiver_index`` (1..N-1, default N-1)
-    for the others; any other receiver, and any other key, raises
-    ``ValueError``.  Every runner and the Monte-Carlo estimator validate
-    through here.  Returns the instrument, the weights as ``ProtocolRun``
-    records them, and the receiver's name.
+    ``params`` holds a runner's arguments, named as its row of
+    ``rules.PRESETS`` names them.  Every runner and the Monte-Carlo
+    estimator validate through here.  Returns the instrument, the weights
+    as ``ProtocolRun`` records them, and the receiver's name.
     """
-    accepted = _PARAMETERS.get(protocol)
-    if accepted is None:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if not params.keys() <= accepted:
-        unexpected = ", ".join(sorted(map(repr, params.keys() - accepted)))
-        raise ValueError(f"{protocol} takes no parameter {unexpected}")
-    m = complex(params["m"])
-    if protocol in ("p1", "p2"):
-        receiver = params.get("receiver", "charlie")
-        if receiver not in ("bob", "charlie"):
-            raise ValueError(f"receiver must be 'bob' or 'charlie', got {receiver!r}")
-        index = None  # the last party, which p2_channels makes the receiver
-    else:
-        receiver, index = None, params.get("receiver_index")
-    if protocol in ("p1", "nparty-ghz"):
-        family, table, weights = "ghz", "TABLE1", (complex(params["n"]),)
-        num_parties = 3 if protocol == "p1" else _integer(params["parties"], "parties")
-        run_params = {"n": weights[0], "m": m}
-        if protocol == "nparty-ghz":
-            run_params["parties"] = num_parties
-    elif protocol == "p2":
-        family, table, num_parties = "bell", "TABLE2", 3
-        weights = p2_channels(params)
-        run_params = {"n1": complex(params["n1"]), "n2": complex(params["n2"]), "m": m}
-    else:  # nparty-bell
-        family, table, weights = "bell", None, tuple(complex(x) for x in params["ns"])
-        num_parties = len(weights) + 1
-        run_params = {"ns": weights, "m": m}
-    r = num_parties - 1 if index is None else _integer(index, "receiver_index")
-    name = receiver or f"party{r}"
-    return compile_protocol(family, weights, m, num_parties, r, table), run_params, name
+    arguments, run_params, receiver = check_params(protocol, params)
+    return compile_protocol(*arguments), run_params, receiver
 
 
 def _branches(compiled: CompiledProtocol, source: InputQubit) -> tuple[BranchRecord, ...]:

@@ -1,4 +1,5 @@
-"""Scalar rules: weight checks, the input qubit, m-strategies and closed-form rates.
+"""Scalar rules: weight checks, the input qubit, m-strategies, the protocol
+presets with their parameter check, and closed-form rates.
 
 Nothing here needs a state vector, so this module imports no numpy: the CLI
 parses and validates its arguments, resolves m-strategies and answers
@@ -12,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
@@ -211,18 +213,106 @@ def p2_channels(params: Mapping) -> tuple[complex, complex]:
     """The channel weights of a "p2" parameter set as (helper's, receiver's).
 
     The runner's ``n1`` is Bob's channel and ``n2`` Charlie's, so a Bob
-    ``receiver`` swaps them.  ``compile_params`` compiles the bell family's
-    channels in this order, and ``choose_m`` takes them as its ``n1``/``n2``.
+    ``receiver`` swaps them.  ``check_params`` puts p2's channels in this
+    order for the compile, and ``choose_m`` takes them as its ``n1``/``n2``.
     """
     n1, n2 = complex(params["n1"]), complex(params["n2"])
     return (n2, n1) if params.get("receiver", "charlie") == "bob" else (n1, n2)
+
+
+# ── protocol presets and the parameter check ─────────────────────────────
+
+#: The fewest and most parties each channel family's runners take.
+PARTY_CAPS = {"ghz": (3, 10), "bell": (3, 6)}
+
+
+#: A protocol as a preset: its channel ``family`` (a key of ``PARTY_CAPS``),
+#: its frozen correction ``table`` (None: the bell family's anchor rule), its
+#: ``params`` (the channel weights, m, then any party count) in the order a
+#: run records them, and the key that names its ``receiver``: "receiver"
+#: for Bob or Charlie, "receiver_index" for a party 1..N-1.
+_Preset = namedtuple("_Preset", "family table params receiver")
+
+#: The four protocols as presets of the two channel families.
+PRESETS = {
+    "p1": _Preset("ghz", "TABLE1", ("n", "m"), "receiver"),
+    "p2": _Preset("bell", "TABLE2", ("n1", "n2", "m"), "receiver"),
+    "nparty-ghz": _Preset("ghz", "TABLE1", ("n", "m", "parties"), "receiver_index"),
+    "nparty-bell": _Preset("bell", None, ("ns", "m"), "receiver_index"),
+}
+
+
+def _integer(value, name: str) -> int:
+    # a bool, or a count or index that int() would truncate or cannot convert, is refused
+    if not isinstance(value, bool):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (OverflowError, TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_parties(family: str, num_parties: int, receiver: int) -> None:
+    """Refuse a channel family, party count or receiver index that no layout fits."""
+    if family not in PARTY_CAPS:
+        raise ValueError(f"unknown channel family {family!r}")
+    low, high = PARTY_CAPS[family]
+    if not low <= num_parties <= high:
+        raise ValueError(f"the {family} family takes {low}..{high} parties, got {num_parties}")
+    if not 1 <= receiver <= num_parties - 1:
+        raise ValueError(f"receiver_index {receiver} out of range for {num_parties} parties")
+
+
+def check_params(protocol: str, params: Mapping) -> tuple[tuple, dict, str]:
+    """Validate a runner parameter set against its ``PRESETS`` row.
+
+    ``params`` holds every parameter of the row by name and may name the
+    receiver: ``receiver`` "bob" or "charlie" (default charlie), or
+    ``receiver_index`` 1..N-1 (default, or None, N-1).  An unknown protocol,
+    a key the row does not take, a missing parameter, another receiver name,
+    a party count or index that is no integer or that ``PARTY_CAPS`` does
+    not fit, and a non-finite weight raise ``ValueError``, checked in that
+    order.  Returns the ``compile_protocol`` arguments (family, channel
+    weights in channel order, m, parties, receiver index, table), the
+    parameters as a ``ProtocolRun`` records them, and the receiver's name.
+    """
+    preset = PRESETS.get(protocol)
+    if preset is None:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    family, table, names, receiver_key = preset
+    accepted = {*names, receiver_key}
+    if not params.keys() <= accepted:
+        unexpected = ", ".join(sorted(map(repr, params.keys() - accepted)))
+        raise ValueError(f"{protocol} takes no parameter {unexpected}")
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"{protocol} needs parameter {', '.join(map(repr, missing))}")
+    named = receiver_key == "receiver"
+    receiver = params.get(receiver_key, "charlie" if named else None)
+    if named and receiver not in ("bob", "charlie"):
+        raise ValueError(f"receiver must be 'bob' or 'charlie', got {receiver!r}")
+    run = {name: _integer(params[name], name) if name == "parties"
+           else tuple(map(complex, params[name])) if name == "ns" else complex(params[name])
+           for name in names}
+    # every row names its channel weights first, then m
+    weights = run["ns"] if "ns" in run else tuple(run.values())[:names.index("m")]
+    num_parties = run.get("parties", len(weights) + 1 if family == "bell" else 3)
+    if named and receiver == "bob":  # the last party, with Bob's and Charlie's channels swapped
+        weights = weights[::-1]  # as p2_channels orders them; p1 has one channel
+    index = num_parties - 1 if named or receiver is None else _integer(receiver, "receiver_index")
+    _check_parties(family, num_parties, index)
+    for w in (run["m"], *weights):
+        _finite(w)
+    return ((family, weights, run["m"], num_parties, index, table), run,
+            receiver if named else f"party{index}")
 
 
 # ── closed-form rates ────────────────────────────────────────────────────
 
 #: The weights that the closed-form protocols take, by name: the channel
 #: weights, then the basis weight m.
-WEIGHTS = {"p1": ("n", "m"), "p2": ("n1", "n2", "m")}
+WEIGHTS = {protocol: PRESETS[protocol].params for protocol in ("p1", "p2")}
 
 
 def _signed_concurrence(x: float) -> float:
@@ -266,15 +356,17 @@ def cpro2_analytic(n1: float, n2: float, m: float) -> float:
 def analytic_rate(protocol: str, params: Mapping) -> float | None:
     """Closed-form rate for a runner parameter set, None where undefined.
 
-    Defined for the protocols of ``WEIGHTS``, "p1" and "p2", when every
-    weight they name is real: then the rate is (2/3)(1 + prod c(w)/2) over
-    those weights, c(x) = 2x/(1+x^2), which is ``cpro1_analytic`` or
-    ``cpro2_analytic``.  The many-party extensions and complex weights have
-    no closed form here.
+    ``params`` is checked as the runners check it, by ``check_params``,
+    which raises ``ValueError`` on a set they refuse.  The rate is defined
+    for the protocols of ``WEIGHTS``, "p1" and "p2", when every weight they
+    name is real: then it is (2/3)(1 + prod c(w)/2) over those weights,
+    c(x) = 2x/(1+x^2), which is ``cpro1_analytic`` or ``cpro2_analytic``.
+    The many-party extensions and complex weights have no closed form here.
     """
+    _, run, _ = check_params(protocol, params)
     if protocol not in WEIGHTS:
         return None
-    values = [complex(params[name]) for name in WEIGHTS[protocol]]
+    values = run.values()  # the weights of WEIGHTS[protocol], in its order
     if any(value.imag != 0.0 for value in values):
         return None
     return _closed_form(*(value.real for value in values))

@@ -151,6 +151,16 @@ def test_pair_basis_bounds():
         generalized_pair_basis(2, 0.5)
 
 
+def test_qubit_counts_must_be_integers():
+    # int() would truncate these to a 3-qubit basis and channel
+    with pytest.raises(ValueError, match="num_qubits must be an integer, got 3.5"):
+        generalized_pair_basis(3.5, 0.5)
+    with pytest.raises(ValueError, match="num_qubits must be an integer, got 3.5"):
+        channel_ghz(0.5, 3.5)
+    assert generalized_pair_basis(np.int64(4), 0.5).subspace_qubits == 4
+    assert channel_ghz(0.5, 4.0).num_qubits == 4
+
+
 # ── X basis and channels ─────────────────────────────────────────────────
 
 def test_x_basis():

@@ -311,6 +311,30 @@ def test_mc_rejects_a_negative_seed_naming_it(seed):
         cpro_monte_carlo("p1", {"n": 0.5, "m": 0.5}, 10, seed)
 
 
+@pytest.mark.parametrize("samples, seed, message", [
+    (True, 1, "samples must be an integer, got True"),
+    (2.5, 1, "samples must be an integer, got 2.5"),
+    ("10", 1, "samples must be an integer, got '10'"),
+    (None, 1, "samples must be an integer, got None"),
+    (10, 1.5, "seed must be an integer, got 1.5"),
+    (10, "3", "seed must be an integer, got '3'"),
+    (10, False, "seed must be an integer, got False"),
+    (0.0, 1, "samples must be >= 1"),
+])
+def test_mc_refuses_samples_and_seeds_that_are_not_integers(samples, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cpro_monte_carlo("p1", {"n": 0.5, "m": 0.5}, samples, seed)
+
+
+def test_mc_takes_integral_floats_and_numpy_integers_as_their_int():
+    params = {"n": 0.5, "m": 0.5}
+    reference = cpro_monte_carlo("p1", params, 12, 3)
+    for samples, seed in ((12.0, 3.0), (np.int64(12), np.uint8(3))):
+        report = cpro_monte_carlo("p1", params, samples, seed)
+        assert report == reference
+        assert type(report.samples) is int and type(report.seed) is int
+
+
 # ── the exact Haar rate as an oracle ─────────────────────────────────────
 
 def _c(x):

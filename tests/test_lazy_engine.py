@@ -27,13 +27,18 @@ P1 = ("--protocol", "p1")
 P2 = ("--protocol", "p2")
 
 
-def _numpy_loaded(argv, exit_code):
+def _probe(argv, exit_code):
+    """The command's stdout and stderr lines, and whether it loaded numpy."""
     result = subprocess.run([sys.executable, "-c", _PROBE, *argv],
                             capture_output=True, text=True)
     assert result.returncode == exit_code, result.stderr
-    last = result.stderr.strip().splitlines()[-1]
+    *stderr, last = result.stderr.strip().splitlines()
     assert last in ("numpy loaded: True", "numpy loaded: False"), result.stderr
-    return last.endswith("True")
+    return result.stdout, stderr, last.endswith("True")
+
+
+def _numpy_loaded(argv, exit_code):
+    return _probe(argv, exit_code)[2]
 
 
 @pytest.mark.parametrize("argv, exit_code", [
@@ -55,6 +60,15 @@ def _numpy_loaded(argv, exit_code):
 ])
 def test_commands_without_arrays_never_import_numpy(argv, exit_code):
     assert not _numpy_loaded(argv, exit_code)
+
+
+def test_analytic_only_refuses_a_party_count_beyond_the_caps_without_numpy():
+    # the closed-form path checks parameters as the compile does
+    argv = ("efficiency", "--protocol", "nparty-ghz", "--parties", "2", "--n", "0.5",
+            "--m", "0.5", "--analytic-only")
+    stdout, stderr, numpy_loaded = _probe(argv, 2)
+    assert (stdout, stderr) == ("", ["error: the ghz family takes 3..10 parties, got 2"])
+    assert not numpy_loaded
 
 
 def test_run_imports_numpy():
@@ -81,18 +95,20 @@ def test_every_public_name_resolves_and_star_import_works():
 
 def test_rules_are_one_object_under_every_module_name():
     modules = {name: importlib.import_module(f"qsts.{name}")
-               for name in ("states", "bases", "protocols", "efficiency")}
+               for name in ("states", "bases", "protocols", "efficiency", "cli")}
     shared = {
         "states": ("NORM_ATOL", "InputQubit"),
         "protocols": ("DegenerateChannelError", "MStrategy", "STRATEGIES", "PRODUCT_RULES",
-                      "choose_m", "p2_channels"),
+                      "choose_m", "p2_channels", "PARTY_CAPS", "check_params"),
         "efficiency": ("WEIGHTS", "analytic_rate", "concurrence", "cpro1_analytic",
                        "cpro2_analytic", "InputQubit"),
+        "cli": ("PRESETS", "WEIGHTS", "analytic_rate"),
     }
     for module, names in shared.items():
         for name in names:
             assert getattr(modules[module], name) is getattr(rules, name), (module, name)
     assert modules["bases"]._weight_norm is rules._weight_norm
+    assert modules["bases"]._integer is modules["efficiency"]._integer is rules._integer
     for name in ("InputQubit", "choose_m", "DegenerateChannelError", "analytic_rate"):
         assert getattr(qsts, name) is getattr(rules, name)
 
