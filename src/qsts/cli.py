@@ -218,7 +218,7 @@ def _params(args, swept: tuple[str, float] | None = None) -> dict:
     params = {n: _parse_weight(n, getattr(args, n)) for n in names}
     if name not in (None, "m"):
         params[name] = value
-    receiver = getattr(args, "receiver", None)  # only ``run`` takes --receiver
+    receiver = args.receiver
     if receiver is not None:
         params[preset.receiver] = receiver  # p2_channels reads a name, compile_params checks it
     tracks = name is not None and name in ("m", args.m)
@@ -401,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eff = sub.add_parser("efficiency", parents=[channel, output],
                            help="estimate the average transmission rate")
+    p_eff.add_argument("--receiver", help="bob|charlie or a party index")
     p_eff.add_argument("--samples", type=int, default=10000)
     p_eff.add_argument("--analytic-only", action="store_true",
                        help="emit the closed form only, skip sampling")
@@ -419,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", default="1",
                          help="basis weight: number, strategy:<name>, or the "
                               "swept parameter's name to track it")
+    p_sweep.add_argument("--receiver", help="bob|charlie (default charlie)")
     p_sweep.add_argument("--samples", type=int, default=10000)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -131,7 +131,10 @@ class BranchRecord:
 
     ``receiver_state`` is the receiver's qubit after the correction, and
     None on dead branches, whose probability is below
-    ``ZERO_NORM_THRESHOLD``.  The qubit before the correction is
+    ``ZERO_NORM_THRESHOLD``.  Its amplitudes are a read-only row view: the
+    live branches of one run share a single (B, 2) array, frozen once per
+    run, and numpy refuses to make a row writeable again.  Copy the
+    amplitudes to change them.  The qubit before the correction is
     ``correction.matrix.conj().T`` applied to it.  ``classical_bits`` counts
     the classical communication needed to close this branch.
     """
@@ -288,11 +291,16 @@ def compile_protocol(
     and the others help.  ``table`` names the ``FROZEN_TABLES`` entry giving
     the corrections ("TABLE1" for ghz); None gives the bell family's anchor
     rule.  Each call compiles afresh from the cached layout.  Arguments that
-    no layout fits (see ``PARTY_CAPS``), a non-finite weight, or max(|sum
-    |a_j|^2 - 1|, |sum |b_j|^2 - 1|) > ``NORM_ATOL`` raise ``ValueError``.
+    no layout fits (see ``PARTY_CAPS``), weights whose count does not fit
+    the family at ``num_parties``, a non-finite weight, or max(|sum |a_j|^2
+    - 1|, |sum |b_j|^2 - 1|) > ``NORM_ATOL`` raise ``ValueError``.
     """
     alice_labels, helper_labels, corrections, bits, gather, sign = _layout(
         family, num_parties, receiver, table)
+    channels = 1 if family == "ghz" else num_parties - 1
+    if len(weights) != channels:
+        raise ValueError(f"the {family} family at N = {num_parties} takes {channels} "
+                         f"channel weight(s), got {len(weights)}")
     f = _weight_norm(m)
     channel = np.ones(1, dtype=np.complex128)
     for w in weights:
@@ -329,7 +337,7 @@ def _branches(compiled: CompiledProtocol, source: InputQubit) -> tuple[BranchRec
     probabilities = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=1)
     live = probabilities >= ZERO_NORM_THRESHOLD
     states = outputs / np.sqrt(np.where(live, probabilities, 1.0))[:, None]
-    states.flags.writeable = False
+    states.flags.writeable = False  # once per run: each receiver state is a row view of it
     overlaps = states @ psi.conj()
     fidelities = np.where(live, np.minimum(overlaps.real ** 2 + overlaps.imag ** 2, 1.0), 0.0)
     bits = compiled.classical_bits

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -243,12 +244,13 @@ PRESETS = {
 
 
 def _integer(value, name: str) -> int:
-    # a bool, or a count or index that int() would truncate or cannot convert, is refused
-    if not isinstance(value, bool):
+    # a count or index is a real number that int() keeps, and no bool: numpy
+    # registers its integers and floats as numbers.Real, but not its bool
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             if int(value) == value:
                 return int(value)
-        except (OverflowError, TypeError, ValueError):
+        except (OverflowError, ValueError):
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
 

@@ -60,8 +60,12 @@ def _fresh_state(num_qubits: int, amplitudes: np.ndarray) -> PureState:
     Hot-path constructor for results whose normalisation holds by
     construction (unitary action, tensor products, measurement residues);
     the public ``PureState`` constructor validates, this one only freezes.
+    An array that is already read-only is taken as it is, with no flag
+    written: a row view of a frozen batch, which numpy will not make
+    writeable while its base is read-only.
     """
-    amplitudes.flags.writeable = False
+    if amplitudes.flags.writeable:
+        amplitudes.flags.writeable = False
     state = object.__new__(PureState)
     object.__setattr__(state, "num_qubits", num_qubits)
     object.__setattr__(state, "amplitudes", amplitudes)

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import qsts
-from qsts import strategy_targets
+from conftest import exact_haar_rate
+from qsts import choose_m, cli, cpro2_analytic, cpro_monte_carlo, strategy_targets
+from qsts.protocols import compile_params
 
 RUN = [sys.executable, "-m", "qsts"]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -400,6 +402,88 @@ def test_sweep_rejects_unknown_param():
     result = invoke("sweep", "--protocol", "p1", "--param", "n1", "--from", "0.1",
                     "--to", "0.5", "--steps", "2", "--m", "1")
     assert result.returncode == 2
+
+
+# ── --receiver on efficiency and sweep ───────────────────────────────────
+
+def _main_stdout(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_efficiency_receiver_bob_matches_the_library_and_the_closed_form(capsys):
+    args = ("efficiency", "--protocol", "p2", "--n1", "0.5", "--n2", "0.8",
+            "--m", "strategy:z-plus", "--samples", "4000", "--seed", "5")
+    doc = json.loads(_main_stdout(capsys, *args, "--receiver", "bob"))
+    m = choose_m("z-plus", n1=0.8, n2=0.5)  # Charlie helps, Bob receives
+    report = cpro_monte_carlo("p2", {"n1": 0.5, "n2": 0.8, "m": m, "receiver": "bob"}, 4000, 5)
+    assert doc == {"analytic": report.analytic, "estimate": report.estimate,
+                   "samples": 4000, "std_error": report.std_error, "seed": 5}
+    assert report.analytic == cpro2_analytic(0.5, 0.8, m.real)
+    assert abs(doc["estimate"] - doc["analytic"]) <= 4 * doc["std_error"]
+    assert json.loads(_main_stdout(capsys, *args, "--receiver", "bob", "--analytic-only")) == {
+        "analytic": report.analytic}
+
+
+def test_efficiency_receiver_is_the_library_receiver(capsys):
+    # complex weights: p2's rates at Bob and Charlie differ
+    p2 = ("efficiency", "--protocol", "p2", "--n1", "0.5+0.3j", "--n2", "0.8",
+          "--m", "0.6-0.2j", "--samples", "300", "--seed", "2")
+    p2_params = {"n1": 0.5 + 0.3j, "n2": 0.8, "m": 0.6 - 0.2j}
+    bell = ("efficiency", "--protocol", "nparty-bell", "--n-list", "0.5,0.3+0.2j,0.9",
+            "--m", "0.7", "--samples", "300", "--seed", "2")
+    bell_params = {"ns": (0.5, 0.3 + 0.2j, 0.9), "m": 0.7}
+    estimates = {}
+    for argv, protocol, params, receiver in [
+            (p2, "p2", {**p2_params, "receiver": "bob"}, "bob"),
+            (p2, "p2", {**p2_params, "receiver": "charlie"}, "charlie"),
+            (bell, "nparty-bell", {**bell_params, "receiver_index": 1}, "1"),
+            (bell, "nparty-bell", {**bell_params, "receiver_index": 3}, "3")]:
+        doc = json.loads(_main_stdout(capsys, *argv, "--receiver", receiver))
+        report = cpro_monte_carlo(protocol, params, 300, 2)
+        assert doc == {"estimate": report.estimate, "samples": 300,
+                       "std_error": report.std_error, "seed": 2}
+        compiled = compile_params(protocol, params)[0]
+        assert abs(report.estimate - exact_haar_rate(compiled)) <= 4 * report.std_error
+        estimates[receiver] = report.estimate
+    assert abs(estimates["bob"] - estimates["charlie"]) > 1e-3
+    # the default receiver is the last party, as the flag names it
+    assert _main_stdout(capsys, *p2) == _main_stdout(capsys, *p2, "--receiver", "charlie")
+    assert _main_stdout(capsys, *bell) == _main_stdout(capsys, *bell, "--receiver", "3")
+
+
+def test_sweep_receiver_bob_matches_the_library_per_step(capsys):
+    args = ("sweep", "--protocol", "p2", "--param", "n1", "--from", "0.2", "--to", "0.8",
+            "--steps", "3", "--n2", "0.5+0.4j", "--m", "strategy:g-plus",
+            "--samples", "50", "--seed", "4")
+    lines = _main_stdout(capsys, *args, "--receiver", "bob").splitlines()
+    assert lines[0] == "param,value,analytic,estimate,std_error"
+    for i, (line, n1) in enumerate(zip(lines[1:], (0.2, 0.5, 0.8))):
+        m = choose_m("g-plus", n1=0.5 + 0.4j, n2=n1)
+        report = cpro_monte_carlo(
+            "p2", {"n1": n1, "n2": 0.5 + 0.4j, "m": m, "receiver": "bob"}, 50, 4 + i)
+        param, value, analytic, estimate, std_error = line.split(",")
+        assert (param, analytic) == ("n1", "")  # complex n2: no closed form
+        assert float(value) == pytest.approx(n1, abs=1e-15)
+        assert (float(estimate), float(std_error)) == (report.estimate, report.std_error)
+    assert _main_stdout(capsys, *args) != _main_stdout(capsys, *args, "--receiver", "bob")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("efficiency", "--protocol", "p1", "--n", "0.5", "--m", "0.5", "--receiver", "alice"),
+     "receiver must be 'bob' or 'charlie', got 'alice'"),
+    (("efficiency", "--protocol", "nparty-ghz", "--parties", "4", "--n", "0.5", "--m", "0.5",
+      "--receiver", "bob", "--analytic-only"),
+     "--receiver must be a party index for many-party protocols"),
+    (("efficiency", "--protocol", "nparty-bell", "--n-list", "0.5,0.5", "--m", "0.5",
+      "--receiver", "3"), "receiver_index 3 out of range for 3 parties"),
+    (("sweep", "--protocol", "p1", "--param", "n", "--from", "0.1", "--to", "0.5",
+      "--steps", "2", "--receiver", "1"), "receiver must be 'bob' or 'charlie', got '1'"),
+])
+def test_receiver_outside_the_protocol_exits_2_naming_it(capsys, argv, message):
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 # ── reproducibility ──────────────────────────────────────────────────────

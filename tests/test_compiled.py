@@ -177,6 +177,19 @@ def test_compile_rejects_a_layout_that_does_not_fit(
         compile_protocol(family, tuple(map(complex, weights)), m, parties, receiver, table)
 
 
+@pytest.mark.parametrize("family, weights, parties, receiver, table, message", [
+    ("ghz", (0.5, 0.3), 3, 2, "TABLE1", "the ghz family at N = 3 takes 1 channel weight"),
+    ("ghz", (), 5, 2, "TABLE1", r"the ghz family at N = 5 takes 1 channel weight\(s\), got 0"),
+    ("bell", (0.5,), 3, 2, "TABLE2", r"the bell family at N = 3 takes 2 channel weight\(s\), got 1"),
+    ("bell", (0.5, 0.8, 0.3), 3, 2, None, "the bell family at N = 3 takes 2 channel weight"),
+    ("bell", (0.5, 0.8), 5, 4, None, "the bell family at N = 5 takes 4 channel weight"),
+])
+def test_compile_refuses_weights_that_do_not_fit_the_family(
+        family, weights, parties, receiver, table, message):
+    with pytest.raises(ValueError, match=message):
+        compile_protocol(family, tuple(map(complex, weights)), 0.5 + 0j, parties, receiver, table)
+
+
 def test_every_call_compiles_afresh():
     # +0.0 and -0.0 compare and hash equal, so a compile cached on its
     # arguments would hand the second call the first call's zero signs

@@ -319,6 +319,8 @@ def test_mc_rejects_a_negative_seed_naming_it(seed):
     (10, 1.5, "seed must be an integer, got 1.5"),
     (10, "3", "seed must be an integer, got '3'"),
     (10, False, "seed must be an integer, got False"),
+    (np.True_, 1, f"samples must be an integer, got {np.True_!r}"),
+    (10, np.False_, f"seed must be an integer, got {np.False_!r}"),
     (0.0, 1, "samples must be >= 1"),
 ])
 def test_mc_refuses_samples_and_seeds_that_are_not_integers(samples, seed, message):

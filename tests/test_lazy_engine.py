@@ -71,6 +71,19 @@ def test_analytic_only_refuses_a_party_count_beyond_the_caps_without_numpy():
     assert not numpy_loaded
 
 
+def test_analytic_only_checks_a_receiver_index_without_numpy():
+    # the integer checks of parties and receiver_index run before the closed-form lookup
+    argv = ("efficiency", "--protocol", "nparty-ghz", "--parties", "4", "--n", "0.5",
+            "--m", "0.5", "--receiver", "2", "--analytic-only")
+    stdout, stderr, numpy_loaded = _probe(argv, 2)
+    assert (stdout, stderr) == ("", ["error: no closed form for this protocol/parameter "
+                                     "combination"])
+    assert not numpy_loaded
+    stdout, stderr, numpy_loaded = _probe(argv[:-2] + ("5", "--analytic-only"), 2)
+    assert (stdout, stderr) == ("", ["error: receiver_index 5 out of range for 4 parties"])
+    assert not numpy_loaded
+
+
 def test_run_imports_numpy():
     assert _numpy_loaded(("run", *P1, "--n", "0.5", "--m", "0.5", "--input", "haar:1"), 0)
 

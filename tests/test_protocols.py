@@ -468,6 +468,19 @@ def test_party_count_and_receiver_index_must_be_integers():
     assert run_nparty_bell(GENERIC, [0.5, 0.5], 0.5, receiver_index=np.uint8(1)).receiver == "party1"
 
 
+@pytest.mark.parametrize("flag", [True, np.True_, np.bool_(True)])
+def test_party_count_and_receiver_index_refuse_bools_of_python_and_numpy(flag):
+    # a bool equals 1, which int() would take as party 1
+    with pytest.raises(ValueError, match=f"receiver_index must be an integer, got {flag!r}"):
+        run_nparty_ghz(GENERIC, 4, 0.5, 0.5, receiver_index=flag)
+    with pytest.raises(ValueError, match=f"receiver_index must be an integer, got {flag!r}"):
+        run_nparty_bell(GENERIC, [0.5, 0.5], 0.5, receiver_index=flag)
+    with pytest.raises(ValueError, match=f"parties must be an integer, got {flag!r}"):
+        run_nparty_ghz(GENERIC, flag, 0.5, 0.5)
+    with pytest.raises(ValueError, match=f"parties must be an integer, got {flag!r}"):
+        compile_params("nparty-ghz", {"parties": flag, "n": 0.5, "m": 0.5})
+
+
 def test_success_probability_counts_a_branch_at_the_threshold():
     # branches at or above SUCCESS_FIDELITY are exact transfers
     def branch(probability, fid):
