@@ -1,8 +1,9 @@
 """Command-line front end: run protocols, verify tables, estimate efficiencies.
 
 Subcommands: run | verify-tables | efficiency | sweep.  All output is
-deterministic for a fixed seed; floats are serialised with 17 significant
-digits so repeated invocations are byte-identical.
+deterministic for a fixed seed: every float, in JSON, CSV and verify-tables
+lines alike, is written as its shortest round-trip repr (integral values keep
+their ``.0``), so repeated invocations are byte-identical.
 
 Exit codes: 0 success, 2 invalid arguments, 3 degenerate strategy,
 4 verification failure.
@@ -18,7 +19,7 @@ import argparse
 import cmath
 import importlib
 import math
-import numbers
+import operator
 import sys
 from itertools import product
 from typing import TYPE_CHECKING, Sequence
@@ -75,37 +76,14 @@ class CliError(ValueError):
 # ── deterministic serialisation ──────────────────────────────────────────
 
 def _format_float(value: float) -> str:
-    return format(float(value), ".17g")
+    return repr(float(value))
 
 
-def render_json(obj, indent: int = 0) -> str:
-    """Minimal JSON writer with 17-significant-digit floats; rejects NaN and inf."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, numbers.Integral):  # numpy integers too
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):  # numpy floats too
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot serialise the non-finite number {obj!r} as JSON")
-        return _format_float(obj)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f'{inner}"{key}": {render_json(val, indent + 1)}' for key, val in obj.items()]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{render_json(val, indent + 1)}" for val in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    raise TypeError(f"cannot serialise {type(obj).__name__}")
+def render_json(obj) -> str:
+    """``obj`` as JSON in two-space indents, each float as its shortest round-trip
+    repr and numpy integers as integers; NaN and inf raise ValueError."""
+    import json  # only the commands that print JSON pay for it
+    return json.dumps(obj, indent=2, allow_nan=False, default=operator.index)
 
 
 def _json_number(value) -> object:
@@ -203,16 +181,22 @@ def _resolve_m(text: str, params: dict) -> complex:
     return choose_m(text.split(":", 1)[1], **weights)
 
 
+#: Each channel flag by its dest, in the order an error names them.
+_FLAGS = {"n": "--n", "n1": "--n1", "n2": "--n2", "parties": "--parties", "ns": "--n-list"}
+
+
 def _params(args, swept: tuple[str, float] | None = None) -> dict:
     """The ``compile_params`` dict that the flags give: weights, m, receiver.
 
     A ``sweep`` step passes its (name, value): that weight is not read from
     the flags, and m takes the value when m is swept or ``--m`` names it.
+    A channel flag that is not read, the swept weight's own included, is
+    refused after every other check.
     """
     name, value = swept or (None, None)
     preset = PRESETS[args.protocol]  # every parameter but m is the dest of a flag
     names = [n for n in preset.params if n not in ("m", name)]
-    missing = ["--n-list" if n == "ns" else f"--{n}" for n in names if getattr(args, n) is None]
+    missing = [_FLAGS[n] for n in names if getattr(args, n) is None]
     if missing:
         raise CliError(f"{args.protocol} needs {' and '.join(missing)}")
     params = {n: _parse_weight(n, getattr(args, n)) for n in names}
@@ -229,6 +213,11 @@ def _params(args, swept: tuple[str, float] | None = None) -> dict:
         except ValueError:
             raise CliError("--receiver must be a party index for many-party "
                            "protocols") from None
+    unread = [flag for n, flag in _FLAGS.items()
+              if getattr(args, n, None) is not None and n not in names]
+    if unread:
+        subject = args.protocol if name is None else f"{args.protocol} sweeping {name}"
+        raise CliError(f"{subject} takes no {', '.join(unread)}")
     return params
 
 
@@ -349,10 +338,10 @@ def _cmd_sweep(args) -> int:
     if not all(map(math.isfinite, (args.start, args.stop, *values))):
         raise CliError("--from, --to and the span between them must be finite")
 
-    _bind_engine()
     rows = []
     for i, value in enumerate(values):
         params = _params(args, (swept, value))
+        _bind_engine()  # after the flags are checked, so a refusal loads no numpy
         report = cpro_monte_carlo(args.protocol, params, args.samples, args.seed + i)
         rows.append({"param": swept, "value": value, "analytic": report.analytic,
                      "estimate": report.estimate, "std_error": report.std_error})

@@ -133,8 +133,10 @@ class BranchRecord:
     None on dead branches, whose probability is below
     ``ZERO_NORM_THRESHOLD``.  Its amplitudes are a read-only row view: the
     live branches of one run share a single (B, 2) array, frozen once per
-    run, and numpy refuses to make a row writeable again.  Copy the
-    amplitudes to change them.  The qubit before the correction is
+    run, and numpy refuses to make a row writeable again.  The shared array
+    itself (``amplitudes.base``) can be made writeable, and a write through
+    it changes every branch of the run, so copy the amplitudes to change
+    them.  The qubit before the correction is
     ``correction.matrix.conj().T`` applied to it.  ``classical_bits`` counts
     the classical communication needed to close this branch.
     """
@@ -477,17 +479,19 @@ def verify_table1(
 
     The expected receiver states (up to normalisation) are
     PhiPlus: a|0> + m*n b|1>, PhiMinus: m a|0> + n b|1>,
-    PsiPlus: n a|0> + m* b|1>, PsiMinus: m n a|0> + b|1>.  ``tolerance``
-    must lie in [0, 1); anything else raises ``ValueError``.
+    PsiPlus: n a|0> + m* b|1>, PsiMinus: m n a|0> + b|1>, with each weight's
+    pair (1, w) scaled by 1/sqrt(1 + |w|^2) as in the compile, so no product
+    overflows.  ``tolerance`` must lie in [0, 1); else ``ValueError``.
     """
     n, m = complex(n), complex(m)
     a, b = source.alpha, source.beta
-    mc = m.conjugate()
+    f, g = _weight_norm(m), _weight_norm(n)
+    fm, fmc, gn = f * m, f * m.conjugate(), g * n
     expected = {
-        "PhiPlus": (a, mc * n * b),
-        "PhiMinus": (m * a, n * b),
-        "PsiPlus": (n * a, mc * b),
-        "PsiMinus": (m * n * a, b),
+        "PhiPlus": (f * g * a, fmc * gn * b),
+        "PhiMinus": (fm * g * a, f * gn * b),
+        "PsiPlus": (f * gn * a, fmc * g * b),
+        "PsiMinus": (fm * gn * a, f * g * b),
     }
     return _check_rows(run_protocol1(source, n, m), expected, tolerance, corrupt_row)
 
@@ -502,20 +506,22 @@ def verify_table2(
 ) -> list[TableRowCheck]:
     """Check all 16 outcome rows of the two-Bell-channel protocol.
 
-    ``tolerance`` must lie in [0, 1); anything else raises ``ValueError``.
+    The expected states are scaled as in ``verify_table1``.  ``tolerance``
+    must lie in [0, 1); anything else raises ``ValueError``.
     """
     n1, n2, m = complex(n1), complex(n2), complex(m)
     a, b = source.alpha, source.beta
-    mc = m.conjugate()
+    f, g1, g2 = _weight_norm(m), _weight_norm(n1), _weight_norm(n2)
+    fm, fmc, gn1, gn2 = f * m, f * m.conjugate(), g1 * n1, g2 * n2
     expected = {
-        "GHZPlus": (a, mc * n1 * n2 * b),
-        "GHZMinus": (m * a, n1 * n2 * b),
-        "GPlus": (n1 * a, mc * n2 * b),
-        "GMinus": (m * n1 * a, n2 * b),
-        "HPlus": (mc * n1 * n2 * a, b),
-        "HMinus": (n1 * n2 * a, m * b),
-        "ZPlus": (mc * n2 * a, n1 * b),
-        "ZMinus": (n2 * a, m * n1 * b),
+        "GHZPlus": (f * g1 * g2 * a, fmc * gn1 * gn2 * b),
+        "GHZMinus": (fm * g1 * g2 * a, f * gn1 * gn2 * b),
+        "GPlus": (f * gn1 * g2 * a, fmc * g1 * gn2 * b),
+        "GMinus": (fm * gn1 * g2 * a, f * g1 * gn2 * b),
+        "HPlus": (fmc * gn1 * gn2 * a, f * g1 * g2 * b),
+        "HMinus": (f * gn1 * gn2 * a, fm * g1 * g2 * b),
+        "ZPlus": (fmc * g1 * gn2 * a, f * gn1 * g2 * b),
+        "ZMinus": (f * g1 * gn2 * a, fm * gn1 * g2 * b),
     }
     return _check_rows(run_protocol2(source, n1, n2, m), expected, tolerance, corrupt_row)
 

@@ -24,9 +24,11 @@ class PureState:
     """Normalised pure state of ``num_qubits`` qubits, stored densely.
 
     ``amplitudes[i]`` multiplies the computational ket whose bits are the
-    binary digits of ``i``, most significant bit first (qubit 0).  Instances
-    are immutable: the amplitude array is copied on construction and frozen,
-    so states can be shared freely between threads.
+    binary digits of ``i``, most significant bit first (qubit 0).  The
+    public constructor copies and freezes the amplitudes; ``_fresh_state``
+    only freezes them, so a run's live receiver states are rows of one array
+    that ``amplitudes.base`` can make writeable again, for every branch at
+    once.  Copy amplitudes to change them.  The package starts no threads.
     """
 
     num_qubits: int

@@ -1,6 +1,7 @@
 """CLI subcommands: output schema, determinism, exit codes."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -228,8 +229,8 @@ def test_render_json_refuses_non_finite_floats():
     from qsts.cli import render_json
 
     assert render_json({"x": 0.5}) == '{\n  "x": 0.5\n}'
-    # numpy scalars are numbers.Integral / numbers.Real
-    assert render_json([np.int64(3), np.float64(0.1)]) == "[\n  3,\n  0.10000000000000001\n]"
+    # numpy scalars: np.float64 is a float, numpy integers are written as integers
+    assert render_json([np.int64(3), np.float64(0.1)]) == "[\n  3,\n  0.1\n]"
     for bad in (float("nan"), float("inf"), float("-inf"), np.float64("nan")):
         with pytest.raises(ValueError):
             render_json({"analytic": bad})
@@ -515,9 +516,23 @@ def test_float_serialisation_round_trips():
     doc = json.loads(result.stdout)
     probs = [b["probability"] for b in doc["branches"]]
     assert sum(probs) == pytest.approx(1.0, abs=1e-10)
-    # 17 significant digits: parsing back and re-rendering is lossless
+    # floats are written as their shortest round-trip repr: parsing back and
+    # re-rendering at 17 significant digits is lossless
     rendered = format(probs[0], ".17g")
     assert float(rendered) == probs[0]
+
+
+def test_floats_stay_floats():
+    # an integral float keeps its ".0" and -0.0 its sign, so JSON reads each back as a float
+    result = invoke("efficiency", "--protocol", "p1", "--n", "1", "--m", "1", "--analytic-only")
+    assert result.stdout == '{\n  "analytic": 1.0\n}\n'
+    doc = json.loads(invoke("run", "--protocol", "p1", "--n", "1", "--m", "1").stdout)
+    assert all(isinstance(b[key], float) for b in doc["branches"]
+               for key in ("probability", "fidelity"))
+    result = invoke("run", "--protocol", "p1", "--n", "1", "--m", "1", "--input", "-0,0,1,0")
+    assert '"alpha_re": -0.0,' in result.stdout
+    alpha_re = json.loads(result.stdout)["input"]["alpha_re"]
+    assert isinstance(alpha_re, float) and math.copysign(1.0, alpha_re) == -1.0
 
 
 # ── README ───────────────────────────────────────────────────────────────

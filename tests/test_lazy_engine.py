@@ -62,6 +62,34 @@ def test_commands_without_arrays_never_import_numpy(argv, exit_code):
     assert not _numpy_loaded(argv, exit_code)
 
 
+@pytest.mark.parametrize("argv, exit_code, message", [
+    pytest.param(("run", *P1, "--n", "0.5", "--n2", "0.9", "--parties", "7", "--n-list", "1,2",
+                  "--m", "1", "--input", "1,0,0,0"), 2, "p1 takes no --n2, --parties, --n-list",
+                 id="run-p1"),
+    pytest.param(("run", "--protocol", "nparty-bell", "--n-list", "0.5,0.3", "--n", "0.5",
+                  "--m", "1"), 2, "nparty-bell takes no --n", id="run-bell"),
+    pytest.param(("efficiency", *P2, "--n", "0.5", "--n1", "0.5", "--n2", "0.3", "--m", "0.7"),
+                 2, "p2 takes no --n", id="efficiency-mc"),
+    pytest.param(("efficiency", "--protocol", "nparty-ghz", "--parties", "4", "--n", "0.5",
+                  "--n1", "0.5", "--m", "0.7", "--analytic-only"), 2,
+                 "nparty-ghz takes no --n1", id="efficiency-analytic"),
+    pytest.param(("sweep", *P1, "--param", "n", "--n", "0.3", "--from", "0", "--to", "1",
+                  "--steps", "2"), 2, "p1 sweeping n takes no --n", id="sweep-swept-flag"),
+    pytest.param(("sweep", *P2, "--param", "m", "--n1", "0.5", "--n2", "0.3", "--n", "0.3",
+                  "--from", "0", "--to", "1", "--steps", "2"), 2, "p2 sweeping m takes no --n",
+                 id="sweep-other-protocol-flag"),
+    # every earlier check keeps its message and exit code
+    pytest.param(("run", *P1, "--n2", "0.5", "--m", "1"), 2, "p1 needs --n", id="missing-first"),
+    pytest.param(("run", *P1, "--n", "0", "--n2", "0.5", "--m", "strategy:phi-plus"), 3,
+                 "strategy 'phi-plus' is undefined for a vanishing channel weight",
+                 id="degenerate-first"),
+])
+def test_unread_channel_flags_are_refused_without_numpy(argv, exit_code, message):
+    stdout, stderr, numpy_loaded = _probe(argv, exit_code)
+    assert (stdout, stderr) == ("", [f"error: {message}"])
+    assert not numpy_loaded
+
+
 def test_analytic_only_refuses_a_party_count_beyond_the_caps_without_numpy():
     # the closed-form path checks parameters as the compile does
     argv = ("efficiency", "--protocol", "nparty-ghz", "--parties", "2", "--n", "0.5",

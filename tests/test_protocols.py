@@ -1,5 +1,8 @@
 """Protocol runners, strategies, correction tables, and diagnostics."""
 
+import warnings
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -341,6 +344,21 @@ def test_verify_table2_grid():
 def test_verify_tables_complex_weights():
     assert all(c.ok for c in verify_table1(0.5 + 0.2j, 0.8 - 0.3j, InputQubit(0.6, 0.8j)))
     assert all(c.ok for c in verify_table2(0.5 + 0.2j, 0.4, 0.8 - 0.3j, InputQubit(0.6, 0.8j)))
+
+
+EDGE_WEIGHTS = (1e-300, 1e-155, 0.7, 3.0, 1e154, 1e200, 1e300, 1e300j, 0.6 - 0.8e200j)
+
+
+def test_verify_tables_pass_at_tiny_huge_and_complex_weights():
+    # the expected states are built from each weight's scaled pair (1, w), as
+    # the compile builds them: a raw product such as m* n1 n2 b would overflow
+    source = InputQubit(0.6, 0.8j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n, m in product(EDGE_WEIGHTS, repeat=2):
+            assert all(c.ok for c in verify_table1(n, m, source)), (n, m)
+        for n1, n2, m in product(EDGE_WEIGHTS, repeat=3):
+            assert all(c.ok for c in verify_table2(n1, n2, m, source)), (n1, n2, m)
 
 
 def test_verify_table_corruption_is_detected():
