@@ -9,8 +9,9 @@ Exit codes: 0 success, 2 invalid arguments, 3 degenerate strategy,
 4 verification failure.
 
 Only ``rules`` is imported with this module, so argument errors, strategy
-resolution and ``efficiency --analytic-only`` run without numpy; the array
-engine is imported the first time a command needs it.
+resolution and ``efficiency --analytic-only`` run without numpy.  Each
+command imports the engine modules that it calls, so ``verify-tables`` and
+``run`` with an explicit ``--input`` do not load ``qsts.efficiency``.
 """
 
 from __future__ import annotations
@@ -38,35 +39,17 @@ EXIT_VERIFY_FAILED = 4
 # fixed grid exercised by verify-tables
 _VERIFY_WEIGHTS = (0.3, 0.7, 1.0)
 
-#: The array engine's entry points, by the module that defines them.  They
-#: are bound in this module on first use (``_bind_engine``), never over a
-#: name already bound: perfbench/spans.py patches them here, and the
-#: commands call whatever is bound.
-_ENGINE = {
-    "FROZEN_TABLES": "protocols",
-    "run_protocol1": "protocols",
-    "run_protocol2": "protocols",
-    "run_nparty_ghz": "protocols",
-    "run_nparty_bell": "protocols",
-    "verify_table1": "protocols",
-    "verify_table2": "protocols",
-    "cpro_monte_carlo": "efficiency",
-    "haar_sample": "efficiency",
-}
+#: The engine names that perfbench/spans.py patches on this module.  It reads
+#: each one before replacing it, so they resolve here through the package's
+#: lazy map; the commands import what they call when they run.
+_TRACED = ("run_protocol1", "run_protocol2", "run_nparty_ghz", "run_nparty_bell",
+           "verify_table1", "verify_table2", "cpro_monte_carlo", "haar_sample")
 
 
 def __getattr__(name: str):
-    # PEP 562: an engine entry point that is not bound yet binds on access
-    if name not in _ENGINE:
+    if name not in _TRACED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_ENGINE[name]}", __package__)
-    return globals().setdefault(name, getattr(module, name))
-
-
-def _bind_engine() -> None:
-    """Import the array engine and bind each of its entry points not yet bound."""
-    for name in _ENGINE.keys() - globals().keys():
-        __getattr__(name)
+    return getattr(importlib.import_module(__package__), name)
 
 
 class CliError(ValueError):
@@ -150,7 +133,7 @@ def _parse_input(text: str, default_seed: int) -> InputQubit:
         except argparse.ArgumentTypeError as exc:
             raise CliError(f"--input: {exc}") from None
         import numpy as np
-        _bind_engine()
+        from .efficiency import haar_sample
         return haar_sample(np.random.default_rng(seed))
     parts = text.split(",")
     if len(parts) != 4:
@@ -181,8 +164,9 @@ def _resolve_m(text: str, params: dict) -> complex:
     return choose_m(text.split(":", 1)[1], **weights)
 
 
-#: Each channel flag by its dest, in the order an error names them.
-_FLAGS = {"n": "--n", "n1": "--n1", "n2": "--n2", "parties": "--parties", "ns": "--n-list"}
+#: Each parameter's flag by its dest, in the order an error names them.
+_FLAGS = {"n": "--n", "n1": "--n1", "n2": "--n2", "parties": "--parties", "ns": "--n-list",
+          "m": "--m"}
 
 
 def _params(args, swept: tuple[str, float] | None = None) -> dict:
@@ -190,8 +174,9 @@ def _params(args, swept: tuple[str, float] | None = None) -> dict:
 
     A ``sweep`` step passes its (name, value): that weight is not read from
     the flags, and m takes the value when m is swept or ``--m`` names it.
-    A channel flag that is not read, the swept weight's own included, is
-    refused after every other check.
+    Without ``--m``, which only ``sweep`` leaves optional, m is 1.  A flag
+    that is not read, the swept weight's own included, is refused after
+    every other check.
     """
     name, value = swept or (None, None)
     preset = PRESETS[args.protocol]  # every parameter but m is the dest of a flag
@@ -205,16 +190,18 @@ def _params(args, swept: tuple[str, float] | None = None) -> dict:
     receiver = args.receiver
     if receiver is not None:
         params[preset.receiver] = receiver  # p2_channels reads a name, compile_params checks it
-    tracks = name is not None and name in ("m", args.m)
-    params["m"] = complex(value) if tracks else _resolve_m(args.m, params)
+    m = "1" if args.m is None else args.m
+    tracks = name is not None and name in ("m", m)
+    params["m"] = complex(value) if tracks else _resolve_m(m, params)
     if receiver is not None and preset.receiver == "receiver_index":  # m's errors come first
         try:
             params[preset.receiver] = int(receiver)
         except ValueError:
             raise CliError("--receiver must be a party index for many-party "
                            "protocols") from None
+    read = {*names, "m"} - {name}
     unread = [flag for n, flag in _FLAGS.items()
-              if getattr(args, n, None) is not None and n not in names]
+              if getattr(args, n, None) is not None and n not in read]
     if unread:
         subject = args.protocol if name is None else f"{args.protocol} sweeping {name}"
         raise CliError(f"{subject} takes no {', '.join(unread)}")
@@ -222,8 +209,7 @@ def _params(args, swept: tuple[str, float] | None = None) -> dict:
 
 
 def _execute(protocol: str, source: InputQubit, params: dict) -> ProtocolRun:
-    # the runners are looked up per call: perfbench/spans.py patches these names
-    _bind_engine()
+    from .protocols import run_nparty_bell, run_nparty_ghz, run_protocol1, run_protocol2
     if protocol == "nparty-ghz":
         params = dict(params)
         return run_nparty_ghz(source, params.pop("parties"), **params)
@@ -270,7 +256,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify_tables(args) -> int:
     import numpy as np
-    _bind_engine()
+    from .protocols import FROZEN_TABLES, verify_table1, verify_table2
     inputs = (
         InputQubit(0.6, 0.8j),
         InputQubit(1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0) * np.exp(-1j * np.pi / 7.0)),
@@ -313,7 +299,7 @@ def _cmd_efficiency(args) -> int:
         if doc["analytic"] is None:
             raise CliError("no closed form for this protocol/parameter combination")
     else:
-        _bind_engine()
+        from .efficiency import cpro_monte_carlo
         report = cpro_monte_carlo(args.protocol, params, args.samples, args.seed)
         doc = {"analytic": report.analytic, "estimate": report.estimate,
                "samples": report.samples, "std_error": report.std_error, "seed": report.seed}
@@ -330,18 +316,18 @@ def _cmd_sweep(args) -> int:
     swept = args.param
     if swept not in WEIGHTS[args.protocol]:
         raise CliError(f"--param must be one of {WEIGHTS[args.protocol]} for {args.protocol}")
-    if args.steps == 1:
-        values = [args.start]
-    else:
-        step = (args.stop - args.start) / (args.steps - 1)
-        values = [args.start + i * step for i in range(args.steps)]
-    if not all(map(math.isfinite, (args.start, args.stop, *values))):
+    # each value is computed when its step runs; with one step it is --from
+    # itself, since x + 0 * -0.0 is x bitwise, even at x = -0.0
+    step = (args.stop - args.start) / (args.steps - 1) if args.steps > 1 else -0.0
+    last = args.start + (args.steps - 1) * step  # the values rise from --from to it
+    if not all(map(math.isfinite, (args.start, args.stop, step, last))):
         raise CliError("--from, --to and the span between them must be finite")
 
     rows = []
-    for i, value in enumerate(values):
+    for i in range(args.steps):
+        value = args.start + i * step
         params = _params(args, (swept, value))
-        _bind_engine()  # after the flags are checked, so a refusal loads no numpy
+        from .efficiency import cpro_monte_carlo  # after the flags: a refusal loads no numpy
         report = cpro_monte_carlo(args.protocol, params, args.samples, args.seed + i)
         rows.append({"param": swept, "value": value, "analytic": report.analytic,
                      "estimate": report.estimate, "std_error": report.std_error})
@@ -406,9 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", help="fixed channel weight (p1)")
     p_sweep.add_argument("--n1", help="fixed first channel weight (p2)")
     p_sweep.add_argument("--n2", help="fixed second channel weight (p2)")
-    p_sweep.add_argument("--m", default="1",
-                         help="basis weight: number, strategy:<name>, or the "
-                              "swept parameter's name to track it")
+    p_sweep.add_argument("--m", help="basis weight (default 1): number, strategy:<name>, "
+                                     "or the swept parameter's name to track it")
     p_sweep.add_argument("--receiver", help="bob|charlie (default charlie)")
     p_sweep.add_argument("--samples", type=int, default=10000)
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -12,6 +12,7 @@ from the input average.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -82,16 +83,19 @@ def cpro_monte_carlo(
 
     ``params`` holds the runner arguments, named as the protocol's row of
     ``rules.PRESETS`` names them and validated as the runners validate them
-    (``compile_params``).  ``samples`` (at least 1) and ``seed`` (at least
-    0) are integers; anything else raises ``ValueError``.  Each sample's
-    input comes from its own generator spawned from the master seed.  Every
-    sample's sum_j |a_j u + b_j v|^2, u = |alpha|^2 and v = |beta|^2, is
-    A u^2 + D v^2 + B u v: A = sum |a_j|^2, D = sum |b_j|^2,
-    B = 2 Re sum a_j conj(b_j).  ``threads`` is accepted and ignored.
+    (``compile_params``).  ``samples`` (1 to ``sys.maxsize``) and ``seed``
+    (at least 0) are integers; anything else raises ``ValueError``.  Each
+    sample's input comes from its own generator spawned from the master
+    seed.  Every sample's sum_j |a_j u + b_j v|^2, u = |alpha|^2 and
+    v = |beta|^2, is A u^2 + D v^2 + B u v: A = sum |a_j|^2,
+    D = sum |b_j|^2, B = 2 Re sum a_j conj(b_j).  ``threads`` is accepted
+    and ignored.
     """
     samples, seed = _integer(samples, "samples"), _integer(seed, "seed")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > sys.maxsize:  # SeedSequence.spawn takes a C ssize_t
+        raise ValueError(f"samples must be at most {sys.maxsize}, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     compiled, _, _ = compile_params(protocol, params)

@@ -300,8 +300,8 @@ def check_params(protocol: str, params: Mapping) -> tuple[tuple, dict, str]:
     # every row names its channel weights first, then m
     weights = run["ns"] if "ns" in run else tuple(run.values())[:names.index("m")]
     num_parties = run.get("parties", len(weights) + 1 if family == "bell" else 3)
-    if named and receiver == "bob":  # the last party, with Bob's and Charlie's channels swapped
-        weights = weights[::-1]  # as p2_channels orders them; p1 has one channel
+    if protocol == "p2":  # p1 has one channel, so its receiver orders nothing
+        weights = p2_channels(params)
     index = num_parties - 1 if named or receiver is None else _integer(receiver, "receiver_index")
     _check_parties(family, num_parties, index)
     for w in (run["m"], *weights):

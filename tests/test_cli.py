@@ -399,6 +399,19 @@ def test_sweep_refuses_non_finite_bounds_naming_them(bounds):
     assert "--from" in result.stderr and "--to" in result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("efficiency", "--protocol", "p1", "--n", "0.5", "--m", "0.5",
+     "--samples", "99999999999999999999999"),
+    ("sweep", "--protocol", "p1", "--param", "n", "--from", "0.5", "--to", "0.5",
+     "--steps", "1", "--m", "0.5", "--samples", "99999999999999999999"),
+], ids=("efficiency", "sweep"))
+def test_sample_count_beyond_a_c_ssize_t_exits_2_naming_it(capsys, argv):
+    assert cli.main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: samples must be at most {sys.maxsize}, got ")
+
+
 def test_sweep_rejects_unknown_param():
     result = invoke("sweep", "--protocol", "p1", "--param", "n1", "--from", "0.1",
                     "--to", "0.5", "--steps", "2", "--m", "1")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -322,6 +323,9 @@ def test_mc_rejects_a_negative_seed_naming_it(seed):
     (np.True_, 1, f"samples must be an integer, got {np.True_!r}"),
     (10, np.False_, f"seed must be an integer, got {np.False_!r}"),
     (0.0, 1, "samples must be >= 1"),
+    # numpy counts the spawned generators in a C ssize_t
+    (2**63, 0, f"samples must be at most {sys.maxsize}, got {2**63}"),
+    (10**23, 0, f"samples must be at most {sys.maxsize}, got {10**23}"),
 ])
 def test_mc_refuses_samples_and_seeds_that_are_not_integers(samples, seed, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -1,12 +1,11 @@
 """Numpy loads only for commands that compute arrays; every public name resolves.
 
 ``qsts`` and ``qsts.cli`` import the numpy-free ``qsts.rules`` when they load
-and the array engine on first use.  perfbench/spans.py patches the engine's
-entry points on ``qsts.cli``, so the lazy binding must leave a patched name
-in place.
+and the array engine on first use.
 """
 
 import importlib
+import resource
 import subprocess
 import sys
 
@@ -27,10 +26,10 @@ P1 = ("--protocol", "p1")
 P2 = ("--protocol", "p2")
 
 
-def _probe(argv, exit_code):
+def _probe(argv, exit_code, **run_options):
     """The command's stdout and stderr lines, and whether it loaded numpy."""
     result = subprocess.run([sys.executable, "-c", _PROBE, *argv],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, **run_options)
     assert result.returncode == exit_code, result.stderr
     *stderr, last = result.stderr.strip().splitlines()
     assert last in ("numpy loaded: True", "numpy loaded: False"), result.stderr
@@ -78,6 +77,9 @@ def test_commands_without_arrays_never_import_numpy(argv, exit_code):
     pytest.param(("sweep", *P2, "--param", "m", "--n1", "0.5", "--n2", "0.3", "--n", "0.3",
                   "--from", "0", "--to", "1", "--steps", "2"), 2, "p2 sweeping m takes no --n",
                  id="sweep-other-protocol-flag"),
+    pytest.param(("sweep", *P1, "--param", "m", "--from", "0", "--to", "1", "--steps", "2",
+                  "--n", "0.5", "--m", "strategy:phi-plus"), 2, "p1 sweeping m takes no --m",
+                 id="sweep-swept-m"),
     # every earlier check keeps its message and exit code
     pytest.param(("run", *P1, "--n2", "0.5", "--m", "1"), 2, "p1 needs --n", id="missing-first"),
     pytest.param(("run", *P1, "--n", "0", "--n2", "0.5", "--m", "strategy:phi-plus"), 3,
@@ -86,6 +88,26 @@ def test_commands_without_arrays_never_import_numpy(argv, exit_code):
 ])
 def test_unread_channel_flags_are_refused_without_numpy(argv, exit_code, message):
     stdout, stderr, numpy_loaded = _probe(argv, exit_code)
+    assert (stdout, stderr) == ("", [f"error: {message}"])
+    assert not numpy_loaded
+
+
+def _cap_address_space():
+    # runs in the child only: a grid of 10**20 floats cannot be built under 1 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("bounds, exit_code, message", [
+    pytest.param(("--from", "0", "--to", "1", "--m", "strategy:phi-plus"), 3,
+                 "strategy 'phi-plus' is undefined for a vanishing channel weight",
+                 id="first-step-degenerate"),
+    pytest.param(("--from", "0", "--to", "inf", "--m", "0.5"), 2,
+                 "--from, --to and the span between them must be finite", id="to-inf"),
+])
+def test_sweep_checks_a_huge_grid_without_building_it(bounds, exit_code, message):
+    argv = ("sweep", *P1, "--param", "n", "--steps", str(10**20), *bounds)
+    stdout, stderr, numpy_loaded = _probe(argv, exit_code, timeout=60,
+                                          preexec_fn=_cap_address_space)
     assert (stdout, stderr) == ("", [f"error: {message}"])
     assert not numpy_loaded
 
@@ -154,33 +176,54 @@ def test_rules_are_one_object_under_every_module_name():
         assert getattr(qsts, name) is getattr(rules, name)
 
 
-@pytest.mark.parametrize("style", ["spans", "before-binding"])
-def test_cli_calls_entry_points_patched_before_first_use(monkeypatch, capsys, style):
-    # unbind every engine entry point, as in a fresh interpreter
-    for name in cli._ENGINE:
-        monkeypatch.delitem(vars(cli), name, raising=False)
+def test_cli_calls_entry_points_patched_on_their_modules(monkeypatch, capsys):
+    # perfbench/spans.py patches each entry point on the module that defines it
     calls = []
 
-    def recording(name):
-        original = getattr(importlib.import_module(f"qsts.{cli._ENGINE[name]}"), name)
+    def recording(module, name):
+        original = getattr(module, name)
 
         def stub(*args, **kwargs):
             calls.append(name)
             return original(*args, **kwargs)
-        return stub
+        monkeypatch.setattr(module, name, stub)
 
-    stubs = {name: recording(name) for name in ("run_protocol1", "cpro_monte_carlo")}
-    for name, stub in stubs.items():
-        if style == "spans":  # perfbench/spans.py reads the name, then replaces it
-            monkeypatch.setattr(cli, name, stub)
-        else:  # bound before the module binds anything itself
-            monkeypatch.setitem(vars(cli), name, stub)
-
+    recording(importlib.import_module("qsts.protocols"), "run_protocol1")
+    recording(importlib.import_module("qsts.efficiency"), "cpro_monte_carlo")
     assert cli.main(["run", *P1, "--n", "0.5", "--m", "0.5", "--input", "haar:1"]) == 0
     assert cli.main(["efficiency", *P1, "--n", "0.5", "--m", "0.5",
                      "--samples", "20", "--seed", "1"]) == 0
     capsys.readouterr()
     assert calls == ["run_protocol1", "cpro_monte_carlo"]
-    for name, stub in stubs.items():
-        assert vars(cli)[name] is stub, name
-    assert cli._ENGINE.keys() <= vars(cli).keys()
+
+
+# Runs ``python -m qsts`` and reports on stderr, as its last line, whether
+# ``qsts.efficiency`` was imported by the time the interpreter exits.
+_EFFICIENCY_PROBE = _PROBE.replace("'numpy loaded:', 'numpy'",
+                                   "'efficiency loaded:', 'qsts.efficiency'")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    pytest.param(("verify-tables",), 0, id="verify-tables"),
+    pytest.param(("verify-tables", "--corrupt", "PhiPlus,XPlus"), 4, id="verify-corrupt"),
+    pytest.param(("run", *P1, "--n", "0.5", "--m", "0.5", "--input", "0.6,0,0.8,0"), 0,
+                 id="run-p1-fixed-input"),
+    pytest.param(("run", *P2, "--n1", "0.5", "--n2", "0.3", "--m", "0.7",
+                  "--input", "0.6,0,0.8,0", "--format", "csv"), 0, id="run-p2-fixed-input"),
+])
+def test_commands_without_sampling_do_not_load_the_estimator(argv, exit_code):
+    result = subprocess.run([sys.executable, "-c", _EFFICIENCY_PROBE, *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == exit_code, result.stderr
+    assert result.stderr.strip().splitlines()[-1] == "efficiency loaded: False"
+
+
+def test_cli_resolves_the_names_the_tracer_patches_from_their_modules():
+    protocols = importlib.import_module("qsts.protocols")
+    efficiency = importlib.import_module("qsts.efficiency")
+    for name in cli._TRACED:
+        module = efficiency if name in ("cpro_monte_carlo", "haar_sample") else protocols
+        assert getattr(cli, name) is getattr(module, name), name
+    for name in ("FROZEN_TABLES", "compile_params", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
