@@ -176,7 +176,8 @@ def test_rules_are_one_object_under_every_module_name():
         assert getattr(qsts, name) is getattr(rules, name)
 
 
-def test_cli_calls_entry_points_patched_on_their_modules(monkeypatch, capsys):
+@pytest.mark.parametrize("style", ["spans", "before-binding"])
+def test_cli_calls_entry_points_patched_before_first_use(monkeypatch, capsys, style):
     # perfbench/spans.py patches each entry point on the module that defines it
     calls = []
 
@@ -188,11 +189,18 @@ def test_cli_calls_entry_points_patched_on_their_modules(monkeypatch, capsys):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, stub)
 
+    command_line = cli
+    if style == "before-binding":  # patched before qsts.cli is loaded at all
+        monkeypatch.delitem(sys.modules, "qsts.cli")
+        monkeypatch.delattr(qsts, "cli", raising=False)
     recording(importlib.import_module("qsts.protocols"), "run_protocol1")
     recording(importlib.import_module("qsts.efficiency"), "cpro_monte_carlo")
-    assert cli.main(["run", *P1, "--n", "0.5", "--m", "0.5", "--input", "haar:1"]) == 0
-    assert cli.main(["efficiency", *P1, "--n", "0.5", "--m", "0.5",
-                     "--samples", "20", "--seed", "1"]) == 0
+    if style == "before-binding":
+        command_line = importlib.import_module("qsts.cli")
+        assert command_line is not cli
+    assert command_line.main(["run", *P1, "--n", "0.5", "--m", "0.5", "--input", "haar:1"]) == 0
+    assert command_line.main(["efficiency", *P1, "--n", "0.5", "--m", "0.5",
+                              "--samples", "20", "--seed", "1"]) == 0
     capsys.readouterr()
     assert calls == ["run_protocol1", "cpro_monte_carlo"]
 
