@@ -311,6 +311,8 @@ def _cmd_efficiency(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.steps < 1:
         raise CliError("--steps must be >= 1")
+    if args.steps - 1 > sys.float_info.max:  # the span is divided by steps - 1 as a double
+        raise CliError("--steps must lie within the range of a double")
     if args.start > args.stop:
         raise CliError("--from must not exceed --to")
     swept = args.param

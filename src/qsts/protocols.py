@@ -125,7 +125,7 @@ _PAULI_BY_FLAGS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BranchRecord:
     """One joint outcome: labels, probability, and the receiver's final qubit.
 
@@ -139,6 +139,13 @@ class BranchRecord:
     them.  The qubit before the correction is
     ``correction.matrix.conj().T`` applied to it.  ``classical_bits`` counts
     the classical communication needed to close this branch.
+
+    ``__init__`` is written by hand because every run builds one record per
+    branch: it stores each field with one write into the instance dict,
+    where the generated frozen ``__init__`` makes one ``object.__setattr__``
+    call per field, at more than twice the cost.  It is still the only
+    constructor (``dataclasses.replace`` calls it too), and the record stays
+    frozen: setting or deleting a field raises ``FrozenInstanceError``.
     """
 
     alice_label: str
@@ -148,6 +155,18 @@ class BranchRecord:
     fidelity: float
     correction: SingleQubitUnitary
     classical_bits: int
+
+    def __init__(self, alice_label: str, helper_labels: tuple[str, ...], probability: float,
+                 receiver_state: PureState | None, fidelity: float,
+                 correction: SingleQubitUnitary, classical_bits: int) -> None:
+        fields = self.__dict__
+        fields["alice_label"] = alice_label
+        fields["helper_labels"] = helper_labels
+        fields["probability"] = probability
+        fields["receiver_state"] = receiver_state
+        fields["fidelity"] = fidelity
+        fields["correction"] = correction
+        fields["classical_bits"] = classical_bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,8 +292,9 @@ def _layout(family: str, num_parties: int, receiver: int, table: str | None):
     sign = entry * (1 - 2 * ((xs[:, None, :] * bits[..., helpers]).sum(axis=-1) % 2))
     gather.flags.writeable = sign.flags.writeable = False
     classical = len(alice).bit_length() - 1 + num_parties - 2  # Alice's, one per helper
-    return (tuple(alice[a] for a, _ in branches),
-            tuple(tuple(X_LABELS[x] for x in xs) for _, xs in branches),
+    # one tuple per helper outcome, shared by every Alice outcome
+    helper_labels = tuple(product(X_LABELS, repeat=num_parties - 2)) * len(alice)
+    return (tuple(alice[a] for a, _ in branches), helper_labels,
             tuple(corrections), classical, gather, sign)
 
 

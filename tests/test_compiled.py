@@ -8,6 +8,7 @@ import cmath
 import math
 import sys
 from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from qsts import (
     strategy_targets,
 )
 from qsts import protocols
-from qsts.protocols import PRODUCT_RULES
+from qsts.bases import BELL_LABELS, X_LABELS, pair_labels
+from qsts.protocols import PARTY_CAPS, PRODUCT_RULES
 
 SOURCE = InputQubit(0.6, 0.8j)
 
@@ -199,6 +201,27 @@ def test_every_call_compiles_afresh():
     assert np.array_equal(plus.diagonal, minus.diagonal)
     signs = [np.signbit(c.diagonal.view(np.float64)) for c in (plus, minus)]
     assert (signs[0] != signs[1]).any()
+
+
+#: Every layout the runners reach: p1 and nparty-ghz, nparty-bell, and p2,
+#: whose Bob receiver swaps the channels, so its layout is at party 2.
+LAYOUTS = ([("ghz", parties, receiver, "TABLE1")
+            for parties in range(PARTY_CAPS["ghz"][0], PARTY_CAPS["ghz"][1] + 1)
+            for receiver in range(1, parties)]
+           + [("bell", parties, receiver, None)
+              for parties in range(PARTY_CAPS["bell"][0], PARTY_CAPS["bell"][1] + 1)
+              for receiver in range(1, parties)]
+           + [("bell", 3, 2, "TABLE2")])
+
+
+def test_layout_labels_follow_product_order_with_one_tuple_per_helper_outcome():
+    for family, parties, receiver, table in LAYOUTS:
+        alice_labels, helper_labels = protocols._layout(family, parties, receiver, table)[:2]
+        alice = BELL_LABELS if family == "ghz" else pair_labels(parties)
+        expected = list(product(alice, product(X_LABELS, repeat=parties - 2)))
+        assert list(zip(alice_labels, helper_labels)) == expected, (family, parties, receiver)
+        # Alice's outcomes share the helper outcomes' tuples
+        assert len({id(labels) for labels in helper_labels}) == 2 ** (parties - 2)
 
 
 def _same_instrument(a, b):

@@ -112,6 +112,20 @@ def test_sweep_checks_a_huge_grid_without_building_it(bounds, exit_code, message
     assert not numpy_loaded
 
 
+@pytest.mark.parametrize("steps", [
+    pytest.param(10**400, id="beyond-a-double"),
+    pytest.param(int(sys.float_info.max) + 2, id="first-count-beyond"),
+])
+def test_sweep_refuses_steps_beyond_a_double_without_numpy(steps):
+    # the span is divided by steps - 1 as a double.  A count that fits runs
+    # without end, one row per step, so a missed refusal times out.
+    argv = ("sweep", *P1, "--param", "n", "--from", "0", "--to", "1", "--m", "0.5",
+            "--steps", str(steps))
+    stdout, stderr, numpy_loaded = _probe(argv, 2, timeout=60, preexec_fn=_cap_address_space)
+    assert (stdout, stderr) == ("", ["error: --steps must lie within the range of a double"])
+    assert not numpy_loaded
+
+
 def test_analytic_only_refuses_a_party_count_beyond_the_caps_without_numpy():
     # the closed-form path checks parameters as the compile does
     argv = ("efficiency", "--protocol", "nparty-ghz", "--parties", "2", "--n", "0.5",

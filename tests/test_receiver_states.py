@@ -1,16 +1,21 @@
-"""Receiver states: read-only row views of one frozen array per run, and
+"""Receiver states: read-only row views of one frozen array per run, branch
+records that stay frozen dataclasses under their hand-written ``__init__``, and
 seeded runs pinned bit for bit."""
 
 import cmath
+import dataclasses
 import hashlib
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsts import haar_sample, run_nparty_bell, run_nparty_ghz, run_protocol1, run_protocol2
+from qsts import (BranchRecord, haar_sample, run_nparty_bell, run_nparty_ghz, run_protocol1,
+                  run_protocol2)
 
 real_weights = st.floats(-20.0, 20.0)
 complex_weights = st.builds(cmath.rect, st.floats(0.0, 20.0), st.floats(0.0, 2 * math.pi))
@@ -51,6 +56,67 @@ def test_every_live_receiver_state_is_read_only(run):
     batch = live[0].base
     assert batch is not None and not batch.flags.writeable
     assert all(amplitudes.base is batch for amplitudes in live)
+
+
+# ── the branch record's contract ─────────────────────────────────────────
+
+FIELDS = tuple(field.name for field in dataclasses.fields(BranchRecord))
+
+
+def test_record_init_takes_the_fields_in_order():
+    parameters = tuple(inspect.signature(BranchRecord).parameters)
+    assert parameters == FIELDS
+
+
+def _hexes(record):
+    return record.probability.hex(), record.fidelity.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=runs())
+def test_replace_rebuilds_every_record_field_for_field(run):
+    for record in run.branches:
+        copy = dataclasses.replace(record)
+        assert copy is not record and type(copy) is BranchRecord
+        assert _hexes(copy) == _hexes(record)
+        for name in ("alice_label", "helper_labels", "receiver_state", "correction",
+                     "classical_bits"):
+            assert getattr(copy, name) is getattr(record, name)
+        assert repr(copy) == repr(record)
+        assert vars(copy).keys() == vars(record).keys() == set(FIELDS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=runs())
+def test_every_record_stays_frozen(run):
+    record = run.branches[0]
+    before = repr(record)
+    for name in FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert repr(record) == before
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=runs())
+def test_a_pickled_record_round_trips(run):
+    for record in run.branches:
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is BranchRecord and repr(copy) == repr(record)
+        assert _hexes(copy) == _hexes(record)
+        assert (copy.alice_label, copy.helper_labels, copy.classical_bits) == (
+            record.alice_label, record.helper_labels, record.classical_bits)
+        assert copy.correction.name == record.correction.name
+        assert copy.correction.matrix.tobytes() == record.correction.matrix.tobytes()
+        if record.receiver_state is None:
+            assert copy.receiver_state is None
+        else:
+            assert (copy.receiver_state.amplitudes.tobytes()
+                    == record.receiver_state.amplitudes.tobytes())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.probability = 0.0
 
 
 # ── seeded runs pinned bit for bit ───────────────────────────────────────
