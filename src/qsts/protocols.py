@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -68,7 +68,7 @@ from .states import (
     InputQubit,
     PureState,
     SingleQubitUnitary,
-    _fresh_state,
+    _wrap_state,
     apply_unitary,
     fidelity,  # noqa: F401
     tensor,  # noqa: F401
@@ -132,11 +132,10 @@ class BranchRecord:
     ``receiver_state`` is the receiver's qubit after the correction, and
     None on dead branches, whose probability is below
     ``ZERO_NORM_THRESHOLD``.  Its amplitudes are a read-only row view: the
-    live branches of one run share a single (B, 2) array, frozen once per
-    run, and numpy refuses to make a row writeable again.  The shared array
-    itself (``amplitudes.base``) can be made writeable, and a write through
-    it changes every branch of the run, so copy the amplitudes to change
-    them.  The qubit before the correction is
+    live branches of one run share a single (B, 2) array over an immutable
+    ``bytes`` copy, made once per run, so numpy refuses to make a row or the
+    shared array (``amplitudes.base``) writeable again; copy the amplitudes
+    to change them.  The qubit before the correction is
     ``correction.matrix.conj().T`` applied to it.  ``classical_bits`` counts
     the classical communication needed to close this branch.
 
@@ -353,23 +352,28 @@ def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, di
 
 
 def _branches(compiled: CompiledProtocol, source: InputQubit) -> tuple[BranchRecord, ...]:
-    """Apply the instrument to the input: every branch from one elementwise product."""
+    """Apply the instrument to the input: every branch from one elementwise product.
+
+    The records are built in C-level passes over the columns, so no branch
+    pays for a generator frame or a flag read.  Each receiver state is a row
+    of one read-only array over a ``bytes`` copy of the run's normalised
+    outputs: numpy refuses to make a row or that array writeable again.
+    """
     psi = np.array((source.alpha, source.beta))
     outputs = compiled.diagonal * psi  # (branch, amplitude)
     probabilities = (outputs.real ** 2 + outputs.imag ** 2).sum(axis=1)
     live = probabilities >= ZERO_NORM_THRESHOLD
     states = outputs / np.sqrt(np.where(live, probabilities, 1.0))[:, None]
-    states.flags.writeable = False  # once per run: each receiver state is a row view of it
     overlaps = states @ psi.conj()
     fidelities = np.where(live, np.minimum(overlaps.real ** 2 + overlaps.imag ** 2, 1.0), 0.0)
-    bits = compiled.classical_bits
-    return tuple(
-        BranchRecord(alice, helpers, p, _fresh_state(1, state) if alive else None, f,
-                     correction, bits)
-        for alice, helpers, p, f, correction, alive, state in zip(
-            compiled.alice_labels, compiled.helper_labels, probabilities.tolist(),
-            fidelities.tolist(), compiled.corrections, live.tolist(), states)
-    )
+    rows = np.ndarray(states.shape, states.dtype, states.tobytes())  # one copy per run
+    receivers = list(map(_wrap_state, repeat(1), rows))
+    if False in live.tolist():  # dead branches, which are rare, hold no state
+        for dead in np.flatnonzero(~live).tolist():
+            receivers[dead] = None
+    return tuple(map(BranchRecord, compiled.alice_labels, compiled.helper_labels,
+                     probabilities.tolist(), receivers, fidelities.tolist(),
+                     compiled.corrections, repeat(compiled.classical_bits)))
 
 
 # ── runners ──────────────────────────────────────────────────────────────
@@ -472,18 +476,23 @@ def _check_rows(
     # a NaN, negative or >= 1 tolerance would make every row fail or pass
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be a finite number in [0, 1), got {tolerance!r}")
+    # each Alice outcome's expected state, normalised once; None if it vanishes
+    targets = {}
+    for label, amplitudes in expected.items():
+        target = np.array(amplitudes, dtype=np.complex128)
+        norm = float(np.linalg.norm(target))
+        targets[label] = None if norm * norm <= ZERO_NORM_THRESHOLD else target / norm
     checks = []
     for branch in run.branches:
         helper_label = branch.helper_labels[0]
-        target = np.array(expected[branch.alice_label], dtype=np.complex128)
-        norm = float(np.linalg.norm(target))
-        if branch.receiver_state is None or norm * norm <= ZERO_NORM_THRESHOLD:
+        target = targets[branch.alice_label]
+        if branch.receiver_state is None or target is None:
             checks.append(TableRowCheck(branch.alice_label, helper_label, None, True))
             continue
         state = branch.receiver_state
         if corrupt_row == (branch.alice_label, helper_label):
             state = apply_unitary(state, SIGMA_X, 0)  # deliberate negative control
-        fid = min(abs(np.vdot(target / norm, state.amplitudes)) ** 2, 1.0)
+        fid = min(abs(np.vdot(target, state.amplitudes)) ** 2, 1.0)
         checks.append(TableRowCheck(branch.alice_label, helper_label, fid, fid >= 1.0 - tolerance))
     return checks
 

@@ -25,10 +25,12 @@ class PureState:
 
     ``amplitudes[i]`` multiplies the computational ket whose bits are the
     binary digits of ``i``, most significant bit first (qubit 0).  The
-    public constructor copies and freezes the amplitudes; ``_fresh_state``
-    only freezes them, so a run's live receiver states are rows of one array
-    that ``amplitudes.base`` can make writeable again, for every branch at
-    once.  Copy amplitudes to change them.  The package starts no threads.
+    amplitudes are read-only and nothing writeable aliases them: the public
+    constructor freezes a copy that owns its data, as do ``tensor``,
+    ``apply_unitary`` and ``measure``, and a run's receiver states are rows
+    of one array over an immutable ``bytes`` copy, whose base numpy refuses
+    to make writeable.  So states can be shared freely; copy the amplitudes
+    to change them.  The package starts no threads.
     """
 
     num_qubits: int
@@ -37,7 +39,7 @@ class PureState:
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
             raise ValueError("a state needs at least one qubit")
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True).reshape(-1)
+        amps = np.asarray(self.amplitudes, dtype=np.complex128).flatten()  # a copy, no view
         if amps.shape[0] != 1 << self.num_qubits:
             raise ValueError(
                 f"expected {1 << self.num_qubits} amplitudes for "
@@ -55,23 +57,36 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
+    def __reduce__(self):
+        # unpickle through the constructor, which freezes its own copy
+        return PureState, (self.num_qubits, self.amplitudes)
 
-def _fresh_state(num_qubits: int, amplitudes: np.ndarray) -> PureState:
-    """Wrap a freshly computed, already-normalised amplitude array.
+
+def _wrap_state(num_qubits: int, amplitudes: np.ndarray) -> PureState:
+    """Wrap a read-only, already-normalised amplitude array as it is.
 
     Hot-path constructor for results whose normalisation holds by
-    construction (unitary action, tensor products, measurement residues);
-    the public ``PureState`` constructor validates, this one only freezes.
-    An array that is already read-only is taken as it is, with no flag
-    written: a row view of a frozen batch, which numpy will not make
-    writeable while its base is read-only.
+    construction (unitary action, tensor products, measurement residues,
+    a run's receiver rows): no check, no copy and no flag read.  Like
+    ``BranchRecord.__init__`` it writes both fields into the instance dict,
+    where the frozen dataclass's own ``__init__`` would call
+    ``object.__setattr__`` once per field.
     """
-    if amplitudes.flags.writeable:
-        amplitudes.flags.writeable = False
     state = object.__new__(PureState)
-    object.__setattr__(state, "num_qubits", num_qubits)
-    object.__setattr__(state, "amplitudes", amplitudes)
+    fields = state.__dict__
+    fields["num_qubits"] = num_qubits
+    fields["amplitudes"] = amplitudes
     return state
+
+
+def _fresh_state(num_qubits: int, amplitudes: np.ndarray) -> PureState:
+    """Freeze a freshly computed amplitude array that owns its data, and wrap it.
+
+    A view would leave its base writeable, and a write through the base
+    would change the state.
+    """
+    amplitudes.flags.writeable = False
+    return _wrap_state(num_qubits, amplitudes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +121,8 @@ SIGMA_Z_SIGMA_X = SIGMA_Z @ SIGMA_X  # applies X first, then Z
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Composite state a ⊗ b; ``a``'s qubits become the leftmost ones."""
-    return _fresh_state(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes))
+    # ``kron`` returns a view of its product; freeze a copy that owns its data
+    return _fresh_state(a.num_qubits + b.num_qubits, np.kron(a.amplitudes, b.amplitudes).copy())
 
 
 def fidelity(a: PureState, b: PureState) -> float:
@@ -125,4 +141,4 @@ def apply_unitary(state: PureState, gate: SingleQubitUnitary, target: int) -> Pu
         return _fresh_state(1, gate.matrix @ state.amplitudes)
     psi = state.amplitudes.reshape((2,) * k)
     psi = np.moveaxis(np.tensordot(gate.matrix, psi, axes=([1], [target])), 0, target)
-    return _fresh_state(k, np.ascontiguousarray(psi).reshape(-1))
+    return _fresh_state(k, psi.flatten())

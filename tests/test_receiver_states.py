@@ -1,6 +1,7 @@
-"""Receiver states: read-only row views of one frozen array per run, branch
-records that stay frozen dataclasses under their hand-written ``__init__``, and
-seeded runs pinned bit for bit."""
+"""Receiver states: read-only row views of one array per run over an immutable
+copy, states from the hot-path wrap that behave as the public constructor's,
+dead branches without a state, branch records that stay frozen dataclasses
+under their hand-written ``__init__``, and seeded runs pinned bit for bit."""
 
 import cmath
 import dataclasses
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsts import (BranchRecord, haar_sample, run_nparty_bell, run_nparty_ghz, run_protocol1,
-                  run_protocol2)
+from qsts import (SIGMA_X, ZERO_NORM_THRESHOLD, BranchRecord, PureState, apply_unitary,
+                  channel_ghz, haar_sample, measure, run_nparty_bell, run_nparty_ghz,
+                  run_protocol1, run_protocol2, tensor, x_basis)
 
 real_weights = st.floats(-20.0, 20.0)
 complex_weights = st.builds(cmath.rect, st.floats(0.0, 20.0), st.floats(0.0, 2 * math.pi))
@@ -52,10 +54,93 @@ def test_every_live_receiver_state_is_read_only(run):
             amplitudes.flags.writeable = True
         with pytest.raises(ValueError):
             amplitudes[0] = 1.0
-    # one frozen array per run, each live branch a row view of it
+    # one frozen array per run, each live branch a row view of it, and its
+    # memory is an immutable copy, so the array refuses to become writeable
     batch = live[0].base
     assert batch is not None and not batch.flags.writeable
     assert all(amplitudes.base is batch for amplitudes in live)
+    with pytest.raises(ValueError):
+        batch.flags.writeable = True
+
+
+def _assert_dead_exactly_below_threshold(run):
+    for branch in run.branches:
+        dead = branch.probability < ZERO_NORM_THRESHOLD
+        assert (branch.receiver_state is None) == dead
+        if dead:
+            assert branch.fidelity == 0.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=runs())
+def test_a_branch_holds_no_state_exactly_where_it_is_dead(run):
+    _assert_dead_exactly_below_threshold(run)
+
+
+#: Runs with vanishing weights, each with dead branches.
+ZERO_WEIGHT_CALLS = {
+    "p1-zero-n-and-m": lambda q: run_protocol1(q, 0.0, 0.0),
+    "p1-zero-n-and-m-bob": lambda q: run_protocol1(q, 0.0, 0.0, "bob"),
+    "p2-zero-n1-and-m": lambda q: run_protocol2(q, 0.0, 0.7, 0.0, "bob"),
+    "ghz5-zero-party2": lambda q: run_nparty_ghz(q, 5, 0.0, 0.0, 2),
+    "bell6-zero-party3": lambda q: run_nparty_bell(q, (0.5, 0.0, 1.1, -0.6, 0.3j), 0.0, 3),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_WEIGHT_CALLS)
+@pytest.mark.parametrize("seed", (8, 9))
+def test_zero_weight_runs_hold_no_state_on_their_dead_branches(name, seed):
+    run = ZERO_WEIGHT_CALLS[name](haar_sample(np.random.default_rng(seed)))
+    assert any(branch.receiver_state is None for branch in run.branches)
+    _assert_dead_exactly_below_threshold(run)
+
+
+# ── states from the hot-path wrap ───────────────────────────────────────
+
+def _states_built_by_the_package(run):
+    """The run's receiver states, then one state from each algebra function."""
+    states = [b.receiver_state for b in run.branches if b.receiver_state is not None]
+    qubit = states[0]
+    pair = tensor(qubit, PureState(1, [0.6, 0.8j]))
+    states += [pair, apply_unitary(qubit, SIGMA_X, 0), apply_unitary(pair, SIGMA_X, 0),
+               apply_unitary(pair, SIGMA_X, 1),
+               max(measure(tensor(qubit, channel_ghz(0.5, 2)), [0], x_basis()),
+                   key=lambda outcome: outcome.probability).post_state]
+    return states
+
+
+def _assert_behaves_as_a_public_state(state):
+    assert type(state) is PureState
+    assert vars(state).keys() == {"num_qubits", "amplitudes"}
+    assert repr(state) == repr(PureState(state.num_qubits, state.amplitudes))
+    amplitudes = state.amplitudes
+    assert not amplitudes.flags.writeable
+    if amplitudes.base is not None:
+        with pytest.raises(ValueError):
+            amplitudes.base.flags.writeable = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.amplitudes = np.zeros(state.dim)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.num_qubits = 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=runs())
+def test_every_package_state_behaves_as_a_public_one(run):
+    for state in _states_built_by_the_package(run):
+        _assert_behaves_as_a_public_state(state)
+        copy = pickle.loads(pickle.dumps(state))
+        _assert_behaves_as_a_public_state(copy)
+        assert repr(copy) == repr(state)
+        assert copy.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+def test_a_public_state_aliases_nothing_writeable():
+    source = np.array([[0.6, 0.8]])
+    state = PureState(1, source)
+    source[0, 0] = 1.0
+    assert state.amplitudes.tolist() == [0.6, 0.8]
+    assert state.amplitudes.base is None and not state.amplitudes.flags.writeable
 
 
 # ── the branch record's contract ─────────────────────────────────────────
