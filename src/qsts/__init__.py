@@ -1,8 +1,8 @@
 """Quantum state sharing over partially entangled channels.
 
 Exact state-vector simulation of probabilistic sharing protocols, their
-outcome/correction tables, many-party extensions, and analytic plus
-Monte-Carlo transmission-rate estimates.
+outcome tables and Pauli corrections, many-party extensions, and analytic
+plus Monte-Carlo transmission-rate estimates.
 
 Each public name is imported from its module on first access (PEP 562), so
 ``import qsts`` loads no numpy; the names of ``rules`` never do.
@@ -39,8 +39,6 @@ _EXPORTS = {
     "measurement": ("MeasurementOutcome", "measure"),
     "protocols": (
         "SUCCESS_FIDELITY",
-        "TABLE1_CORRECTIONS",
-        "TABLE2_CORRECTIONS",
         "BranchRecord",
         "CompiledProtocol",
         "ProtocolRun",

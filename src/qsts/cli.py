@@ -256,7 +256,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify_tables(args) -> int:
     import numpy as np
-    from .protocols import FROZEN_TABLES, verify_table1, verify_table2
+    from .bases import BELL_LABELS, GHZ_LABELS, X_LABELS
+    from .protocols import verify_table1, verify_table2
     inputs = (
         InputQubit(0.6, 0.8j),
         InputQubit(1.0 / np.sqrt(3.0), np.sqrt(2.0 / 3.0) * np.exp(-1j * np.pi / 7.0)),
@@ -266,7 +267,7 @@ def _cmd_verify_tables(args) -> int:
         corrupt = tuple(args.corrupt.split(","))
         if len(corrupt) != 2:
             raise CliError("--corrupt expects 'AliceLabel,HelperLabel'")
-        if not any(corrupt in table for table in FROZEN_TABLES.values()):
+        if corrupt[0] not in BELL_LABELS + GHZ_LABELS or corrupt[1] not in X_LABELS:
             raise CliError(f"--corrupt names a row of neither table: {args.corrupt!r}")
 
     # worst fidelity gap per outcome row, aggregated over the fixed grid

@@ -4,18 +4,19 @@ The compile knows two channel families: "ghz", one GHZ-type channel of
 weight n shared by every party, with Alice measuring her input and channel
 qubits in the weight-m Bell family; and "bell", one Bell-type channel per
 party, with Alice measuring her input and her half of every channel in the
-weight-m paired family.  The helpers X-measure, and the receiver applies a
-frozen table's correction at (Alice outcome, helper parity) or the bell
-family's anchor rule.  Every measured and channel ket pairs an anchor s
-with its complement, so each corrected branch operator is diag(a_j, b_j):
-``_layout`` places the terms once per (family, N, receiver, table), and every
-``compile_protocol`` call fills them from the weights and checks completeness.
-``run_protocol1`` is the ghz family at three parties, ``run_nparty_ghz`` at
-3..10; ``run_protocol2`` is the bell family at three parties (n1 to Bob, n2
-to Charlie) named by TABLE2, ``run_nparty_bell`` at 3..6.  Each runner
-enumerates every branch exactly (no sampling) from the compiled diagonal,
-recording per branch the outcome labels, joint probability, the receiver's
-corrected state and its fidelity with the input.
+weight-m paired family.  The helpers X-measure, and the receiver applies
+the anchor rule's Pauli at (Alice outcome, helper parity), spelt XZ where
+the paper writes XZ for its ZX.  Every measured and channel ket pairs an
+anchor s with its complement, so each corrected branch operator is
+diag(a_j, b_j): ``_layout`` places the terms once per (family, N,
+receiver, XZ rows), and every ``compile_protocol`` call fills them from the
+weights and checks completeness.  ``run_protocol1`` is the ghz family at
+three parties, ``run_nparty_ghz`` at 3..10; ``run_protocol2`` is the bell
+family at three parties (n1 to Bob, n2 to Charlie) named by the paper's
+Table 2, ``run_nparty_bell`` at 3..6.  Each runner enumerates every branch
+exactly (no sampling) from the compiled diagonal, recording per branch the
+outcome labels, joint probability, the receiver's corrected state and its
+fidelity with the input.
 """
 
 from __future__ import annotations
@@ -78,45 +79,8 @@ from .states import (
 SUCCESS_FIDELITY = 1.0 - 1e-9
 
 
-# Receiver corrections keyed on (Alice outcome, helper X outcome).  Matrix
-# products read left to right, rightmost factor applied first.
-TABLE1_CORRECTIONS: dict[tuple[str, str], SingleQubitUnitary] = {
-    ("PhiPlus", "XPlus"): IDENTITY,
-    ("PhiPlus", "XMinus"): SIGMA_Z,
-    ("PhiMinus", "XPlus"): SIGMA_Z,
-    ("PhiMinus", "XMinus"): IDENTITY,
-    ("PsiPlus", "XPlus"): SIGMA_X,
-    ("PsiPlus", "XMinus"): SIGMA_X_SIGMA_Z,
-    ("PsiMinus", "XPlus"): SIGMA_Z_SIGMA_X,
-    ("PsiMinus", "XMinus"): SIGMA_X,
-}
-
-TABLE2_CORRECTIONS: dict[tuple[str, str], SingleQubitUnitary] = {
-    ("GHZPlus", "XPlus"): IDENTITY,
-    ("GHZPlus", "XMinus"): SIGMA_Z,
-    ("GHZMinus", "XPlus"): SIGMA_Z,
-    ("GHZMinus", "XMinus"): IDENTITY,
-    ("GPlus", "XPlus"): IDENTITY,
-    ("GPlus", "XMinus"): SIGMA_Z,
-    ("GMinus", "XPlus"): SIGMA_Z,
-    ("GMinus", "XMinus"): IDENTITY,
-    ("HPlus", "XPlus"): SIGMA_X,
-    ("HPlus", "XMinus"): SIGMA_X_SIGMA_Z,
-    ("HMinus", "XPlus"): SIGMA_X_SIGMA_Z,
-    ("HMinus", "XMinus"): SIGMA_X,
-    ("ZPlus", "XPlus"): SIGMA_X,
-    ("ZPlus", "XMinus"): SIGMA_Z_SIGMA_X,
-    ("ZMinus", "XPlus"): SIGMA_X_SIGMA_Z,
-    ("ZMinus", "XMinus"): SIGMA_X,
-}
-
-#: The frozen tables by name.  A compile naming one takes each correction
-#: from it at (Alice outcome, helper parity).  "p2" keeps TABLE2 because on
-#: three rows the bell family's anchor rule gives ZX where it has XZ.
-FROZEN_TABLES = {"TABLE1": TABLE1_CORRECTIONS, "TABLE2": TABLE2_CORRECTIONS}
-
-# The bell family's anchor rule, keyed on (relative-sign flip needed, bit
-# flip needed).
+# The anchor rule, keyed on (relative-sign flip needed, bit flip needed).
+# Matrix products read left to right, rightmost factor applied first.
 _PAULI_BY_FLAGS = {
     (False, False): IDENTITY,
     (False, True): SIGMA_X,
@@ -243,14 +207,15 @@ class CompiledProtocol:
     diagonal: np.ndarray
 
 
-@lru_cache(maxsize=64)  # every (family, N, receiver, table) a runner reaches: 59
-def _layout(family: str, num_parties: int, receiver: int, table: str | None):
+@lru_cache(maxsize=64)  # every (family, N, receiver, xz) a runner reaches: 59
+def _layout(family: str, num_parties: int, receiver: int, xz: tuple[tuple[str, int], ...] = ()):
     """The weight-independent part: labels, corrections, classical bits, terms.
 
-    The corrections are the named frozen table at (Alice outcome, helper
-    parity), or without a table the bell family's anchor rule.  Each branch
-    has two terms, Alice's anchor s and its complement; input column c holds
-    term c ^ s_0.  Per column, ``gather`` is the term's index in the
+    The anchor rule corrects at (Alice outcome, helper parity): a bit flip
+    where the anchor's input bit differs from the receiver's, a sign flip at
+    odd parity xor a minus outcome; the ``xz`` rows take XZ = -ZX.  Each
+    branch has two terms, Alice's anchor s and its complement; input column
+    c holds term c ^ s_0.  Per column, ``gather`` is the term's index in the
     compile's table of bra coefficient times channel amplitude, and ``sign``
     the correction's entry at (c, the term's receiver bit), which must be
     +-1, times the helpers' X sign (-1)^(sum_h x_h s_h).
@@ -265,16 +230,16 @@ def _layout(family: str, num_parties: int, receiver: int, table: str | None):
                         for a in (0, 1) for minus in (False, True))
     else:
         alice, anchors = pair_labels(num_parties), pair_anchors(num_parties)
-    if table is not None and set(FROZEN_TABLES.get(table, ())) != set(product(alice, X_LABELS)):
-        raise ValueError(f"table {table!r} does not fit the {family} family at N = {num_parties}")
-    branches = list(product(range(len(alice)), product((0, 1), repeat=num_parties - 2)))
     # the correction depends on Alice's outcome and the helpers' parity only
-    if table is None:
-        by_parity = [[_PAULI_BY_FLAGS[(bool(parity) ^ is_minus, bool(s[0] ^ s[receiver]))]
-                      for parity in (0, 1)] for s, is_minus in anchors]
-    else:
-        by_parity = [[FROZEN_TABLES[table][(label, x)] for x in X_LABELS] for label in alice]
-    corrections = [by_parity[outcome][sum(xs) % 2] for outcome, xs in branches]
+    rule = {(label, parity): _PAULI_BY_FLAGS[(bool(parity) ^ is_minus, bool(s[0] ^ s[receiver]))]
+            for label, (s, is_minus) in zip(alice, anchors) for parity in (0, 1)}
+    for row in xz:
+        if rule.get(row) is not SIGMA_Z_SIGMA_X:
+            raise ValueError(f"xz row {row!r} is no row where the anchor rule gives ZX in the "
+                             f"{family} family at N = {num_parties}, receiver {receiver}")
+        rule[row] = SIGMA_X_SIGMA_Z
+    branches = list(product(range(len(alice)), product((0, 1), repeat=num_parties - 2)))
+    corrections = [rule[alice[outcome], sum(xs) % 2] for outcome, xs in branches]
     # axes (branch j, input column c, ...)
     anchor_bits, minus = map(np.array, zip(*anchors))
     outcome, xs = map(np.array, zip(*branches))
@@ -303,21 +268,22 @@ def compile_protocol(
     m: complex,
     num_parties: int,
     receiver: int,
-    table: str | None,
+    xz: tuple[tuple[str, int], ...] = (),
 ) -> CompiledProtocol:
     """Compile a channel family at fixed weights into its branch diagonals.
 
     ``weights`` is (n,) for the "ghz" family and one weight per party for
     the "bell" family.  Parties are 1..num_parties-1; ``receiver`` receives
-    and the others help.  ``table`` names the ``FROZEN_TABLES`` entry giving
-    the corrections ("TABLE1" for ghz); None gives the bell family's anchor
-    rule.  Each call compiles afresh from the cached layout.  Arguments that
-    no layout fits (see ``PARTY_CAPS``), weights whose count does not fit
-    the family at ``num_parties``, a non-finite weight, or max(|sum |a_j|^2
-    - 1|, |sum |b_j|^2 - 1|) > ``NORM_ATOL`` raise ``ValueError``.
+    and the others help.  The corrections are the anchor rule's, with XZ
+    on the ``xz`` rows, (Alice label, helper parity) pairs as in
+    ``rules.PRESETS``.  Each call compiles afresh from the cached layout.
+    An ``xz`` row where the rule gives no ZX, arguments that no layout fits
+    (see ``PARTY_CAPS``), weights whose count does not fit the family at
+    ``num_parties``, a non-finite weight, or max(|sum |a_j|^2 - 1|,
+    |sum |b_j|^2 - 1|) > ``NORM_ATOL`` raise ``ValueError``.
     """
     alice_labels, helper_labels, corrections, bits, gather, sign = _layout(
-        family, num_parties, receiver, table)
+        family, num_parties, receiver, xz)
     channels = 1 if family == "ghz" else num_parties - 1
     if len(weights) != channels:
         raise ValueError(f"the {family} family at N = {num_parties} takes {channels} "
@@ -393,9 +359,9 @@ def run_protocol1(
 
     Joint register order: (input, Alice's channel qubit, Bob, Charlie).
     Alice measures qubits 0-1 in the weight-m Bell family, the helper
-    X-measures, and the receiver applies the frozen correction.  The channel
-    is symmetric in Bob and Charlie, so choosing Bob as receiver simply makes
-    Charlie the helper.
+    X-measures, and the receiver applies the paper's Table 1 correction.
+    The channel is symmetric in Bob and Charlie, so choosing Bob as receiver
+    simply makes Charlie the helper.
     """
     return _run("p1", source, {"n": n, "m": m, "receiver": receiver})
 
@@ -427,8 +393,8 @@ def run_nparty_ghz(
     """Share ``source`` over a weight-n GHZ-type channel among N-1 parties.
 
     Parties are indexed 1..N-1; all but the receiver X-measure, and the
-    receiver's correction is the base table entry at the parity of the
-    helpers' XMinus outcomes.  Reduces to ``run_protocol1`` at N = 3.
+    receiver's correction is ``run_protocol1``'s at the parity of the
+    helpers' XMinus outcomes, to which it reduces at N = 3.
     """
     return _run("nparty-ghz", source, {"parties": num_parties, "n": n, "m": m,
                                        "receiver_index": receiver_index})

@@ -228,18 +228,20 @@ PARTY_CAPS = {"ghz": (3, 10), "bell": (3, 6)}
 
 
 #: A protocol as a preset: its channel ``family`` (a key of ``PARTY_CAPS``),
-#: its frozen correction ``table`` (None: the bell family's anchor rule), its
-#: ``params`` (the channel weights, m, then any party count) in the order a
-#: run records them, and the key that names its ``receiver``: "receiver"
-#: for Bob or Charlie, "receiver_index" for a party 1..N-1.
-_Preset = namedtuple("_Preset", "family table params receiver")
+#: its ``xz`` rows, the (Alice outcome, helper parity) pairs whose anchor-rule
+#: ZX the paper spells XZ, its ``params`` (the channel weights, m, then any
+#: party count) in the order a run records them, and the key that names its
+#: ``receiver``: "receiver" for Bob or Charlie, "receiver_index" for a party
+#: 1..N-1.  p2 and nparty-bell at N = 3 share one layout but not its names.
+_Preset = namedtuple("_Preset", "family xz params receiver")
 
 #: The four protocols as presets of the two channel families.
 PRESETS = {
-    "p1": _Preset("ghz", "TABLE1", ("n", "m"), "receiver"),
-    "p2": _Preset("bell", "TABLE2", ("n1", "n2", "m"), "receiver"),
-    "nparty-ghz": _Preset("ghz", "TABLE1", ("n", "m", "parties"), "receiver_index"),
-    "nparty-bell": _Preset("bell", None, ("ns", "m"), "receiver_index"),
+    "p1": _Preset("ghz", (("PsiPlus", 1),), ("n", "m"), "receiver"),
+    "p2": _Preset("bell", (("HPlus", 1), ("HMinus", 0), ("ZMinus", 0)), ("n1", "n2", "m"),
+                  "receiver"),
+    "nparty-ghz": _Preset("ghz", (("PsiPlus", 1),), ("n", "m", "parties"), "receiver_index"),
+    "nparty-bell": _Preset("bell", (), ("ns", "m"), "receiver_index"),
 }
 
 
@@ -276,13 +278,13 @@ def check_params(protocol: str, params: Mapping) -> tuple[tuple, dict, str]:
     a party count or index that is no integer or that ``PARTY_CAPS`` does
     not fit, and a non-finite weight raise ``ValueError``, checked in that
     order.  Returns the ``compile_protocol`` arguments (family, channel
-    weights in channel order, m, parties, receiver index, table), the
+    weights in channel order, m, parties, receiver index, xz rows), the
     parameters as a ``ProtocolRun`` records them, and the receiver's name.
     """
     preset = PRESETS.get(protocol)
     if preset is None:
         raise ValueError(f"unknown protocol {protocol!r}")
-    family, table, names, receiver_key = preset
+    family, xz, names, receiver_key = preset
     accepted = {*names, receiver_key}
     if not params.keys() <= accepted:
         unexpected = ", ".join(sorted(map(repr, params.keys() - accepted)))
@@ -306,7 +308,7 @@ def check_params(protocol: str, params: Mapping) -> tuple[tuple, dict, str]:
     _check_parties(family, num_parties, index)
     for w in (run["m"], *weights):
         _finite(w)
-    return ((family, weights, run["m"], num_parties, index, table), run,
+    return ((family, weights, run["m"], num_parties, index, xz), run,
             receiver if named else f"party{index}")
 
 

@@ -4,8 +4,10 @@
 arrays, built from the public constructors ``generalized_bell_basis``,
 ``generalized_pair_basis``, ``channel_ghz``, ``channel_bell`` and
 ``x_basis`` (so their own checks run on every call), then applies the
-receiver's correction matrices.  It derives the labels, corrections and
-classical bits itself rather than reading ``protocols._layout``.
+receiver's correction matrices.  It derives the labels and classical bits
+itself rather than reading ``protocols._layout``, and takes each correction
+from the paper's table in ``oracle`` or, where the paper gives none, from
+the oracle's anchor rule.
 """
 
 from functools import reduce
@@ -13,6 +15,7 @@ from itertools import product
 
 import numpy as np
 
+from oracle import oracle_anchor_rule
 from qsts.bases import (
     BELL_LABELS,
     X_LABELS,
@@ -24,14 +27,17 @@ from qsts.bases import (
     pair_labels,
     x_basis,
 )
-from qsts.protocols import _PAULI_BY_FLAGS, FROZEN_TABLES
 
 
 def dense_compile(family, weights, m, num_parties, receiver, table):
-    """(Alice labels, helper labels, corrections, classical bits, operators).
+    """(Alice labels, helper labels, correction matrices, classical bits, operators).
 
-    Takes the arguments of ``protocols.compile_protocol``; ``operators`` is
-    the (B, 2, 2) stack of K_j = C_j M_j.
+    Takes the arguments of ``protocols.compile_protocol``, with ``table`` in
+    place of its ``xz`` rows: the paper's (Alice outcome, helper outcome)
+    table that the compile should reproduce (``oracle.ORACLE_TABLE1`` or
+    ``ORACLE_TABLE2``), or None for the oracle's anchor rule, applied at the
+    parity of the helpers' XMinus outcomes.  ``operators`` is the (B, 2, 2)
+    stack of K_j = C_j M_j.
     """
     alice = BELL_LABELS if family == "ghz" else pair_labels(num_parties)
     # the anchor rule serves the bell family, whose labels are pair_labels
@@ -40,9 +46,8 @@ def dense_compile(family, weights, m, num_parties, receiver, table):
     def correct(alice_label, helper_labels):
         parity = helper_labels.count("XMinus") % 2
         if table is not None:
-            return FROZEN_TABLES[table][(alice_label, X_LABELS[parity])]
-        anchor, is_minus = anchors[alice_label]
-        return _PAULI_BY_FLAGS[(bool(parity) ^ is_minus, bool(anchor[0] ^ anchor[receiver]))]
+            return table[(alice_label, X_LABELS[parity])]
+        return oracle_anchor_rule(*anchors[alice_label], parity, receiver)
 
     branches = [(a, h) for a in alice for h in product(X_LABELS, repeat=num_parties - 2)]
     corrections = tuple(correct(a, h) for a, h in branches)
@@ -66,7 +71,6 @@ def dense_compile(family, weights, m, num_parties, receiver, table):
     for helper in range(num_parties - 2):
         # replace this helper's bit by its X outcome, keeping the axis order
         residues = x_bras @ residues.reshape(outcomes << helper, 2, -1)
-    matrices = np.stack([c.matrix for c in corrections])
-    operators = matrices @ residues.reshape(-1, 2, 2)
+    operators = np.stack(corrections) @ residues.reshape(-1, 2, 2)
     return (tuple(a for a, _ in branches), tuple(h for _, h in branches), corrections, bits,
             operators)

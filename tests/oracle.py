@@ -47,6 +47,34 @@ def bit_at(index: int, qubit: int, width: int) -> int:
     return (index >> (width - 1 - qubit)) & 1
 
 
+def oracle_anchors(num_parties: int) -> dict[str, tuple[tuple[int, ...], bool]]:
+    """label -> (anchor bits, minus family) of the paired family."""
+    anchors = {}
+    for s in range(0, 1 << num_parties, 2):
+        anchor = tuple(bit_at(s, q, num_parties) for q in range(num_parties))
+        if num_parties == 3:
+            stem = {0: "GHZ", 2: "G", 4: "H", 6: "Z"}[s]
+        else:
+            stem = "S" + format(s, f"0{num_parties}b")
+        anchors[stem + "Plus"] = (anchor, False)
+        anchors[stem + "Minus"] = (anchor, True)
+    return anchors
+
+
+def oracle_anchor_rule(anchor, is_minus: bool, parity: int, receiver: int) -> np.ndarray:
+    """The Bell-channel extension's correction for a measured anchor.
+
+    A sign flip at odd helper parity xor a minus-family outcome, and a bit
+    flip where the input's anchor bit differs from the receiver's.
+    """
+    sign_flip = bool(parity) ^ is_minus
+    bit_flip = bool(anchor[0] ^ anchor[receiver])
+    return {
+        (False, False): I2, (False, True): X2,
+        (True, False): Z2, (True, True): ZX2,
+    }[(sign_flip, bit_flip)]
+
+
 def bell_patterns(m: complex) -> dict[str, dict[tuple[int, int], complex]]:
     f = 1.0 / math.sqrt(1.0 + abs(m) ** 2)
     mc = complex(m).conjugate()
@@ -214,26 +242,12 @@ def oracle_nparty_bell(alpha, beta, ns, m, receiver_index=None):
         if ok:
             psi[idx] = amp
     patterns, order = paired_patterns(num_parties, complex(m))
-    anchors = {}
-    for s in range(0, 1 << num_parties, 2):
-        anchor = tuple(bit_at(s, q, num_parties) for q in range(num_parties))
-        if num_parties == 3:
-            stem = {0: "GHZ", 2: "G", 4: "H", 6: "Z"}[s]
-        else:
-            stem = "S" + format(s, f"0{num_parties}b")
-        anchors[stem + "Plus"] = (anchor, False)
-        anchors[stem + "Minus"] = (anchor, True)
+    anchors = oracle_anchors(num_parties)
     alice_qs = (0,) + tuple(2 * i - 1 for i in range(1, num_parties))
     helper_qs = tuple(2 * p for p in range(1, num_parties) if p != r)
 
     def correct(a, helpers):
-        anchor, is_minus = anchors[a]
-        parity = sum(lbl == "XMinus" for lbl in helpers) % 2 == 1
-        sign_flip = parity ^ is_minus
-        bit_flip = bool(anchor[0] ^ anchor[r])
-        return {
-            (False, False): I2, (False, True): X2,
-            (True, False): Z2, (True, True): ZX2,
-        }[(sign_flip, bit_flip)]
+        parity = sum(lbl == "XMinus" for lbl in helpers) % 2
+        return oracle_anchor_rule(*anchors[a], parity, r)
 
     return _branches(psi, width, alice_qs, patterns, order, helper_qs, 2 * r, correct)

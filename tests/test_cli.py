@@ -1,5 +1,6 @@
 """CLI subcommands: output schema, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -62,6 +63,45 @@ def test_run_nparty_and_csv_format():
     assert lines[0] == "alice,helpers,probability,fidelity,correction"
     assert len(lines) == 1 + 4 * 4  # four Alice outcomes x two helpers
     assert lines[1].split(",")[1].count("+") == 1  # two helper labels joined
+
+
+#: ``run --format csv`` stdout, correction names included, as sha256 digests,
+#: with complex weights at every receiver.  p2 and nparty-bell at N = 3 share
+#: one layout but name three of its corrections differently (XZ, ZX).
+CSV_PINS = {
+    "p1-bob": (("--protocol", "p1", "--n", "0.45+0.3j", "--m", "0.8-0.2j", "--receiver", "bob"),
+               "af6513c5f2c79bacb98e4f86591c75a2c558b956f630eef521e2ccec65279188"),
+    "p1-charlie": (("--protocol", "p1", "--n", "0.45+0.3j", "--m", "0.8-0.2j"),
+                   "af6513c5f2c79bacb98e4f86591c75a2c558b956f630eef521e2ccec65279188"),
+    "p2-bob": (("--protocol", "p2", "--n1", "0.5+0.2j", "--n2", "0.3-0.4j", "--m", "0.7+0.3j",
+                "--receiver", "bob"),
+               "1d07a34a0ff49acac9681adda66502d56623f8509b8cdb5023242aeccc32b8cd"),
+    "p2-charlie": (("--protocol", "p2", "--n1", "0.5+0.2j", "--n2", "0.3-0.4j",
+                    "--m", "0.7+0.3j"),
+                   "bdad9bf2abfefed202236cd55cd3d50e0502982cfc546ac1d47c271f37a2731b"),
+    **{f"ghz4-party{r}": (("--protocol", "nparty-ghz", "--parties", "4", "--n", "0.6-0.1j",
+                           "--m", "0.9+0.4j", "--receiver", str(r)),
+                          "b743a1dd944a0e1fc3c1867e49d76a5e7521321c953d3c0d03e774ccf6d1ee7f")
+       for r in (1, 2, 3)},
+    "bell3-party1": (("--protocol", "nparty-bell", "--n-list", "0.5+0.2j,0.3-0.4j",
+                      "--m", "0.7+0.3j", "--receiver", "1"),
+                     "44ff3a64d315834d0ed88e02fb2017a29499e727628083bdd753ea15a2bed109"),
+    "bell3-party2": (("--protocol", "nparty-bell", "--n-list", "0.5+0.2j,0.3-0.4j",
+                      "--m", "0.7+0.3j", "--receiver", "2"),
+                     "e6470c8dd42adef60384cd8a4a4788efcb141fbe8e039f205677f2d55e67e866"),
+    **{f"bell4-party{r}": (("--protocol", "nparty-bell", "--n-list", "0.5,0.4-0.2j,0.8j",
+                            "--m", "0.6+0.25j", "--receiver", str(r)), digest)
+       for r, digest in ((1, "c9e8b59cc1ce89407ffba418d119f843fa9b3a767527517b48c898c98dccca9b"),
+                         (2, "055fcceb8449b66b80ca2f2f85cf183d60b21eddeb53d6e9da80fea0b6694888"),
+                         (3, "59f7092a299052cb2855fdb70982f6a3d3734fb49d0be01e885228833718c2ee"))},
+}
+
+
+@pytest.mark.parametrize("name", CSV_PINS)
+def test_run_csv_matches_its_pinned_digest(capsys, name):
+    args, digest = CSV_PINS[name]
+    out = _main_stdout(capsys, "run", *args, "--input", "haar:5", "--format", "csv")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("receiver", ["bob", "charlie"])
@@ -259,7 +299,8 @@ def test_verify_tables_absurd_tolerance_fails():
 
 @pytest.mark.parametrize("args", [("--tolerance", "inf"), ("--tolerance", "nan"),
                                   ("--tolerance", "-1"), ("--tolerance", "1"),
-                                  ("--corrupt", "Foo,Bar"), ("--corrupt", "PhiPlus,XPlus,XMinus")])
+                                  ("--corrupt", "Foo,Bar"), ("--corrupt", "PhiPlus,XZero"),
+                                  ("--corrupt", "PhiPlus,XPlus,XMinus")])
 def test_verify_tables_rejects_a_meaningless_check(args):
     # a tolerance outside [0, 1) or a corrupted row in neither table would
     # make every row pass or fail whatever the tables hold

@@ -6,6 +6,7 @@ space."""
 
 import cmath
 import math
+import re
 import sys
 from functools import partial
 from itertools import product
@@ -17,7 +18,14 @@ from hypothesis import strategies as st
 
 from conftest import assert_run_matches_oracle
 from dense_reference import dense_compile
-from oracle import oracle_nparty_bell, oracle_nparty_ghz, oracle_protocol1, oracle_protocol2
+from oracle import (
+    ORACLE_TABLE1,
+    ORACLE_TABLE2,
+    oracle_nparty_bell,
+    oracle_nparty_ghz,
+    oracle_protocol1,
+    oracle_protocol2,
+)
 from qsts import (
     STRATEGIES,
     SUCCESS_FIDELITY,
@@ -35,8 +43,14 @@ from qsts import (
 from qsts import protocols
 from qsts.bases import BELL_LABELS, X_LABELS, pair_labels
 from qsts.protocols import PARTY_CAPS, PRODUCT_RULES
+from qsts.rules import PRESETS
 
 SOURCE = InputQubit(0.6, 0.8j)
+
+#: The XZ rows of the paper's Table 1 (p1 and nparty-ghz) and Table 2 (p2),
+#: and by table name, None for the anchor rule as it stands (nparty-bell).
+P1_XZ, P2_XZ = PRESETS["p1"].xz, PRESETS["p2"].xz
+XZ_ROWS = {"TABLE1": P1_XZ, "TABLE2": P2_XZ, None: ()}
 
 WEIGHT_CASES = {
     "real": (0.45, 0.8, 1.3),
@@ -53,18 +67,18 @@ def _compiled_cases(weights):
     cases = []
     for name, r in (("charlie", 2), ("bob", 1)):
         cases.append((lambda q, name=name: run_protocol1(q, a, b, name),
-                      ("ghz", (complex(a),), complex(b), 3, r, "TABLE1")))
+                      ("ghz", (complex(a),), complex(b), 3, r, P1_XZ)))
     for name, pair in (("charlie", (a, c)), ("bob", (c, a))):
         cases.append((lambda q, name=name: run_protocol2(q, a, c, b, name),
-                      ("bell", tuple(map(complex, pair)), complex(b), 3, 2, "TABLE2")))
+                      ("bell", tuple(map(complex, pair)), complex(b), 3, 2, P2_XZ)))
     for parties in (3, 4, 5):
         for r in range(1, parties):
             cases.append((lambda q, p=parties, r=r: run_nparty_ghz(q, p, a, b, r),
-                          ("ghz", (complex(a),), complex(b), parties, r, "TABLE1")))
+                          ("ghz", (complex(a),), complex(b), parties, r, P1_XZ)))
     for ns in ((a, c), (a, b, c)):
         for r in range(1, len(ns) + 1):
             cases.append((lambda q, ns=ns, r=r: run_nparty_bell(q, ns, b, r),
-                          ("bell", tuple(map(complex, ns)), complex(b), len(ns) + 1, r, None)))
+                          ("bell", tuple(map(complex, ns)), complex(b), len(ns) + 1, r, ())))
     return cases
 
 
@@ -103,11 +117,13 @@ def test_instrument_complete_and_matches_branches(case):
                 transmitted, rel=0, abs=1e-14), (key, branch.alice_label)
 
 
-# Every (family, parties, receiver) of the party caps, with the tables in use.
+# Every (family, parties, receiver) of the party caps, with the XZ rows in
+# use and the paper's table that the dense reference corrects by (None: the
+# oracle's anchor rule).
 COMPILE_LAYOUTS = (
-    [("ghz", n, r, "TABLE1") for n in range(3, 11) for r in range(1, n)]
-    + [("bell", 3, 2, "TABLE2")]
-    + [("bell", n, r, None) for n in range(3, 7) for r in range(1, n)]
+    [("ghz", n, r, P1_XZ, ORACLE_TABLE1) for n in range(3, 11) for r in range(1, n)]
+    + [("bell", 3, 2, P2_XZ, ORACLE_TABLE2)]
+    + [("bell", n, r, (), None) for n in range(3, 7) for r in range(1, n)]
 )
 
 special_weights = st.sampled_from(
@@ -126,14 +142,15 @@ compile_weights = st.one_of(
 @given(m=compile_weights, ns=st.lists(compile_weights, min_size=5, max_size=5))
 def test_closed_form_matches_the_dense_reference(m, ns):
     m = complex(m)
-    for family, parties, receiver, table in COMPILE_LAYOUTS:
+    for family, parties, receiver, xz, table in COMPILE_LAYOUTS:
         weights = tuple(map(complex, ns[:1] if family == "ghz" else ns[:parties - 1]))
-        key = (family, weights, m, parties, receiver, table)
+        key = (family, weights, m, parties, receiver, xz)
         compiled = compile_protocol(*key)
-        alice, helpers, corrections, bits, operators = dense_compile(*key)
+        alice, helpers, corrections, bits, operators = dense_compile(*key[:-1], table)
         assert (compiled.alice_labels, compiled.helper_labels, compiled.classical_bits) == (
             alice, helpers, bits), key
-        assert all(a is b for a, b in zip(compiled.corrections, corrections, strict=True)), key
+        assert all(np.array_equal(a.matrix, b)
+                   for a, b in zip(compiled.corrections, corrections, strict=True)), key
         # every corrected operator is diagonal, and the compile keeps its diagonal
         assert (operators[:, [0, 1], [1, 0]] == 0).all(), key
         diagonal = np.diagonal(operators, axis1=1, axis2=2)
@@ -141,7 +158,7 @@ def test_closed_form_matches_the_dense_reference(m, ns):
 
 
 def test_completeness_guard_rejects_a_perturbed_instrument(monkeypatch):
-    key = ("bell", (0.5 + 0.2j, 0.7, -1.3), 0.8j, 4, 2, None)
+    key = ("bell", (0.5 + 0.2j, 0.7, -1.3), 0.8j, 4, 2, ())
     compile_protocol(*key)  # the intact instrument passes
     layout = protocols._layout
 
@@ -156,17 +173,25 @@ def test_completeness_guard_rejects_a_perturbed_instrument(monkeypatch):
         compile_protocol(*key)
 
 
+def _no_zx_row(row, family, parties, receiver):
+    return re.escape(f"xz row {row!r} is no row where the anchor rule gives ZX in the "
+                     f"{family} family at N = {parties}, receiver {receiver}")
+
+
 @pytest.mark.parametrize(
     "family, weights, parties, receiver, table, message",
     [
-        # complete, but TABLE2's corrections fit only the last receiver
-        ("bell", (0.5, 0.8), 3, 1, "TABLE2", "at receiver 1 do not map each term to its column"),
+        # Table 2's rows fit only the last receiver: at receiver 1 the rule
+        # gives Z on ZMinus/XPlus
+        pytest.param("bell", (0.5, 0.8), 3, 1, "TABLE2", _no_zx_row(("ZMinus", 0), "bell", 3, 1),
+                     id="table2-receiver-1"),
         ("ghz", (0.5,), 4, 0, "TABLE1", "receiver_index 0 out of range for 4 parties"),
         ("ghz", (0.5,), 3, 5, "TABLE1", "receiver_index 5 out of range for 3 parties"),
-        ("bell", (0.5, 0.8), 3, 2, "TABLE1",
-         "table 'TABLE1' does not fit the bell family at N = 3"),
-        ("bell", (0.5, 0.8, 0.3), 4, 3, "TABLE2",
-         "table 'TABLE2' does not fit the bell family at N = 4"),
+        # rows naming no outcome of the family
+        pytest.param("bell", (0.5, 0.8), 3, 2, "TABLE1", _no_zx_row(("PsiPlus", 1), "bell", 3, 2),
+                     id="table1-bell-family"),
+        pytest.param("bell", (0.5, 0.8, 0.3), 4, 3, "TABLE2",
+                     _no_zx_row(("HPlus", 1), "bell", 4, 3), id="table2-bell-4-parties"),
         ("w", (0.5,), 3, 2, None, "unknown channel family 'w'"),
         ("ghz", (0.5,), 2, 1, "TABLE1", "the ghz family takes 3..10 parties, got 2"),
         ("bell", (0.5,) * 6, 7, 6, None, "the bell family takes 3..6 parties, got 7"),
@@ -176,7 +201,23 @@ def test_compile_rejects_a_layout_that_does_not_fit(
         family, weights, parties, receiver, table, message):
     m = choose_m("ghz-plus", n1=0.5, n2=0.8)
     with pytest.raises(ValueError, match=message):
-        compile_protocol(family, tuple(map(complex, weights)), m, parties, receiver, table)
+        compile_protocol(family, tuple(map(complex, weights)), m, parties, receiver,
+                         XZ_ROWS[table])
+
+
+# an X or Z row spelt XZ would mis-correct, and no completeness check sees it
+@pytest.mark.parametrize("row", [("PsiPlus", 0), ("PhiPlus", 1), ("PsiPlus", 2)])
+def test_compile_rejects_an_xz_row_where_the_rule_gives_no_zx(row):
+    with pytest.raises(ValueError, match=_no_zx_row(row, "ghz", 3, 2)):
+        compile_protocol("ghz", (0.5 + 0j,), 0.7 + 0j, 3, 2, (row,))
+
+
+def test_layout_rejects_corrections_that_miss_a_column(monkeypatch):
+    # a rule that forgets the bit flip leaves some terms in the wrong column;
+    # the uncached layout reads the patched rule
+    monkeypatch.setitem(protocols._PAULI_BY_FLAGS, (False, True), protocols.IDENTITY)
+    with pytest.raises(ValueError, match="at receiver 1 do not map each term to its column"):
+        protocols._layout.__wrapped__("bell", 3, 1, ())
 
 
 @pytest.mark.parametrize("family, weights, parties, receiver, table, message", [
@@ -189,15 +230,16 @@ def test_compile_rejects_a_layout_that_does_not_fit(
 def test_compile_refuses_weights_that_do_not_fit_the_family(
         family, weights, parties, receiver, table, message):
     with pytest.raises(ValueError, match=message):
-        compile_protocol(family, tuple(map(complex, weights)), 0.5 + 0j, parties, receiver, table)
+        compile_protocol(family, tuple(map(complex, weights)), 0.5 + 0j, parties, receiver,
+                         XZ_ROWS[table])
 
 
 def test_every_call_compiles_afresh():
     # +0.0 and -0.0 compare and hash equal, so a compile cached on its
     # arguments would hand the second call the first call's zero signs
     weights = (0.5 + 0.2j, 0.7)
-    plus = compile_protocol("bell", weights, complex(0.0), 3, 2, None)
-    minus = compile_protocol("bell", weights, complex(-0.0), 3, 2, None)
+    plus = compile_protocol("bell", weights, complex(0.0), 3, 2)
+    minus = compile_protocol("bell", weights, complex(-0.0), 3, 2)
     assert np.array_equal(plus.diagonal, minus.diagonal)
     signs = [np.signbit(c.diagonal.view(np.float64)) for c in (plus, minus)]
     assert (signs[0] != signs[1]).any()
@@ -205,18 +247,18 @@ def test_every_call_compiles_afresh():
 
 #: Every layout the runners reach: p1 and nparty-ghz, nparty-bell, and p2,
 #: whose Bob receiver swaps the channels, so its layout is at party 2.
-LAYOUTS = ([("ghz", parties, receiver, "TABLE1")
+LAYOUTS = ([("ghz", parties, receiver, P1_XZ)
             for parties in range(PARTY_CAPS["ghz"][0], PARTY_CAPS["ghz"][1] + 1)
             for receiver in range(1, parties)]
-           + [("bell", parties, receiver, None)
+           + [("bell", parties, receiver, ())
               for parties in range(PARTY_CAPS["bell"][0], PARTY_CAPS["bell"][1] + 1)
               for receiver in range(1, parties)]
-           + [("bell", 3, 2, "TABLE2")])
+           + [("bell", 3, 2, P2_XZ)])
 
 
 def test_layout_labels_follow_product_order_with_one_tuple_per_helper_outcome():
-    for family, parties, receiver, table in LAYOUTS:
-        alice_labels, helper_labels = protocols._layout(family, parties, receiver, table)[:2]
+    for family, parties, receiver, xz in LAYOUTS:
+        alice_labels, helper_labels = protocols._layout(family, parties, receiver, xz)[:2]
         alice = BELL_LABELS if family == "ghz" else pair_labels(parties)
         expected = list(product(alice, product(X_LABELS, repeat=parties - 2)))
         assert list(zip(alice_labels, helper_labels)) == expected, (family, parties, receiver)
@@ -236,9 +278,9 @@ def _same_instrument(a, b):
 def test_ghz_instrument_is_the_same_at_every_receiver(n, m):
     # the GHZ-type channel is symmetric in the parties
     for parties in range(3, 11):
-        first = compile_protocol("ghz", (complex(n),), complex(m), parties, 1, "TABLE1")
+        first = compile_protocol("ghz", (complex(n),), complex(m), parties, 1, P1_XZ)
         for r in range(2, parties):
-            other = compile_protocol("ghz", (complex(n),), complex(m), parties, r, "TABLE1")
+            other = compile_protocol("ghz", (complex(n),), complex(m), parties, r, P1_XZ)
             assert _same_instrument(first, other), (parties, r)
 
 

@@ -26,8 +26,10 @@ from qsts import (
     run_protocol2,
     transmission_sum,
 )
-from qsts.rules import _closed_form
+from qsts.rules import PRESETS, _closed_form
 from qsts.protocols import PRODUCT_RULES, compile_params
+
+P1_XZ, P2_XZ = PRESETS["p1"].xz, PRESETS["p2"].xz
 
 EXTREME_WEIGHTS = (1e155, 1e300, -1e308, 1e-300)
 
@@ -100,9 +102,9 @@ def test_closed_forms_finite_at_extreme_weights(x):
                  cpro2_analytic(1.0, 0.5, x)):
         assert rate == pytest.approx(2 / 3, abs=1e-15)
     # and the engine's exact Haar rate at the same weights agrees
-    p1 = compile_protocol("ghz", (complex(x),), complex(0.5), 3, 2, "TABLE1")
+    p1 = compile_protocol("ghz", (complex(x),), complex(0.5), 3, 2, P1_XZ)
     assert exact_haar_rate(p1) == pytest.approx(cpro1_analytic(x, 0.5), abs=1e-14)
-    p2 = compile_protocol("bell", (complex(x), complex(0.5)), complex(0.8), 3, 2, "TABLE2")
+    p2 = compile_protocol("bell", (complex(x), complex(0.5)), complex(0.8), 3, 2, P2_XZ)
     assert exact_haar_rate(p2) == pytest.approx(cpro2_analytic(x, 0.5, 0.8), abs=1e-14)
 
 
@@ -351,9 +353,9 @@ def test_exact_rate_equals_closed_forms(rng):
     for _ in range(200):
         n, m, n2 = rng.uniform(-3.0, 3.0, size=3)
         for r in (1, 2):
-            p1 = compile_protocol("ghz", (complex(n),), complex(m), 3, r, "TABLE1")
+            p1 = compile_protocol("ghz", (complex(n),), complex(m), 3, r, P1_XZ)
             assert abs(exact_haar_rate(p1) - cpro1_analytic(n, m)) <= 1e-14
-        p2 = compile_protocol("bell", (complex(n), complex(n2)), complex(m), 3, 2, "TABLE2")
+        p2 = compile_protocol("bell", (complex(n), complex(n2)), complex(m), 3, 2, P2_XZ)
         assert abs(exact_haar_rate(p2) - cpro2_analytic(n, n2, m)) <= 1e-14
 
 
@@ -361,7 +363,7 @@ def test_exact_rate_of_nparty_ghz_is_the_p1_form(rng):
     for parties in range(3, 11):
         n, m = rng.uniform(-3.0, 3.0, size=2)
         for r in range(1, parties):
-            compiled = compile_protocol("ghz", (complex(n),), complex(m), parties, r, "TABLE1")
+            compiled = compile_protocol("ghz", (complex(n),), complex(m), parties, r, P1_XZ)
             assert abs(exact_haar_rate(compiled) - cpro1_analytic(n, m)) <= 1e-14
 
 
@@ -371,8 +373,7 @@ def test_exact_rate_of_nparty_bell_is_the_product_form(rng):
         m = rng.uniform(-3.0, 3.0)
         expected = (2 / 3) * (1 + _c(m) * np.prod([_c(x) for x in ns]) / 2)
         for r in range(1, parties):
-            compiled = compile_protocol("bell", tuple(map(complex, ns)), complex(m), parties, r,
-                                        None)
+            compiled = compile_protocol("bell", tuple(map(complex, ns)), complex(m), parties, r)
             assert abs(exact_haar_rate(compiled) - expected) <= 1e-14
 
 
@@ -390,10 +391,10 @@ complex_weights = st.complex_numbers(max_magnitude=20.0)
 @given(n=complex_weights, m=complex_weights)
 def test_ghz_b_is_the_same_at_every_party_count_and_receiver(n, m):
     n, m = complex(n), complex(m)
-    reference = _b(compile_protocol("ghz", (n,), m, 3, 2, "TABLE1"))
+    reference = _b(compile_protocol("ghz", (n,), m, 3, 2, P1_XZ))
     for parties in range(3, 11):
         for r in range(1, parties):
-            b = _b(compile_protocol("ghz", (n,), m, parties, r, "TABLE1"))
+            b = _b(compile_protocol("ghz", (n,), m, parties, r, P1_XZ))
             assert abs(b - reference) <= 1e-13, (parties, r)
 
 

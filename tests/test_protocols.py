@@ -8,6 +8,10 @@ import pytest
 
 from conftest import assert_run_matches_oracle, generic_haar
 from oracle import (
+    ORACLE_TABLE1,
+    ORACLE_TABLE2,
+    oracle_anchor_rule,
+    oracle_anchors,
     oracle_nparty_bell,
     oracle_nparty_ghz,
     oracle_protocol1,
@@ -15,15 +19,13 @@ from oracle import (
 )
 from qsts import (
     STRATEGIES,
-    TABLE1_CORRECTIONS,
-    TABLE2_CORRECTIONS,
+    X_LABELS,
     DegenerateChannelError,
     InputQubit,
     apply_unitary,
     bob_bit_withheld_state,
     channel_ghz,
     choose_m,
-    compile_protocol,
     fidelity,
     generalized_ghz_basis,
     measure,
@@ -38,6 +40,7 @@ from qsts import (
     verify_table2,
 )
 from qsts.protocols import SUCCESS_FIDELITY, BranchRecord, ProtocolRun, compile_params
+from qsts.rules import PRESETS
 from qsts.states import IDENTITY, SIGMA_X
 
 GENERIC = InputQubit(0.6, 0.8)
@@ -269,30 +272,39 @@ def test_protocol2_receiver_swap_exchanges_channels(rng):
 
 # ── correction tables ────────────────────────────────────────────────────
 
+def _corrections(protocol, **params):
+    """(Alice outcome, helper outcome) -> correction, compiled for a one-helper run."""
+    compiled, _, _ = compile_params(protocol, params)
+    return {(alice, helper): gate for alice, (helper,), gate
+            in zip(compiled.alice_labels, compiled.helper_labels, compiled.corrections)}
+
+
 def test_h_minus_x_plus_correction_is_xz():
-    assert TABLE2_CORRECTIONS[("HMinus", "XPlus")].name == "XZ"
+    assert _corrections("p2", n1=0.5, n2=0.3, m=0.7)[("HMinus", "XPlus")].name == "XZ"
 
 
 def test_psi_minus_row_corrections():
-    assert TABLE1_CORRECTIONS[("PsiMinus", "XPlus")].name == "ZX"
-    assert TABLE1_CORRECTIONS[("PsiMinus", "XMinus")].name == "X"
+    table1 = _corrections("p1", n=0.5, m=0.7)
+    assert table1[("PsiMinus", "XPlus")].name == "ZX"
+    assert table1[("PsiMinus", "XMinus")].name == "X"
 
 
 def test_tables_are_total_and_unitary():
-    from qsts import BELL_LABELS, GHZ_LABELS, X_LABELS
+    from qsts import BELL_LABELS, GHZ_LABELS
 
-    assert set(TABLE1_CORRECTIONS) == {(a, x) for a in BELL_LABELS for x in X_LABELS}
-    assert set(TABLE2_CORRECTIONS) == {(a, x) for a in GHZ_LABELS for x in X_LABELS}
-    for gate in list(TABLE1_CORRECTIONS.values()) + list(TABLE2_CORRECTIONS.values()):
-        np.testing.assert_allclose(gate.matrix.conj().T @ gate.matrix, np.eye(2), atol=1e-12)
-
-
-def _same_gate(gate, frozen):
-    return gate.name == frozen.name and np.array_equal(gate.matrix, frozen.matrix)
+    for receiver in ("bob", "charlie"):
+        table1 = _corrections("p1", n=0.5, m=0.7, receiver=receiver)
+        table2 = _corrections("p2", n1=0.5, n2=0.3, m=0.7, receiver=receiver)
+        assert set(table1) == {(a, x) for a in BELL_LABELS for x in X_LABELS}
+        assert set(table2) == {(a, x) for a in GHZ_LABELS for x in X_LABELS}
+        for gate in list(table1.values()) + list(table2.values()):
+            np.testing.assert_allclose(gate.matrix.conj().T @ gate.matrix, np.eye(2),
+                                       atol=1e-12)
 
 
 def test_derived_corrections_match_the_frozen_tables():
-    # p1 and nparty-ghz: TABLE1 at (Alice outcome, parity of the helpers' XMinus count)
+    # p1 and nparty-ghz: the paper's Table 1 at (Alice outcome, parity of the
+    # helpers' XMinus count)
     cases = [("p1", {"n": 0.5, "m": 0.7, "receiver": r}) for r in ("bob", "charlie")]
     cases += [("nparty-ghz", {"parties": n, "n": 0.5, "m": 0.7, "receiver_index": r})
               for n in range(3, 11) for r in range(1, n)]
@@ -301,28 +313,33 @@ def test_derived_corrections_match_the_frozen_tables():
         for alice, helpers, gate in zip(compiled.alice_labels, compiled.helper_labels,
                                         compiled.corrections):
             parity = "XMinus" if helpers.count("XMinus") % 2 else "XPlus"
-            assert _same_gate(gate, TABLE1_CORRECTIONS[(alice, parity)]), (
+            assert np.array_equal(gate.matrix, ORACLE_TABLE1[(alice, parity)]), (
                 protocol, params, alice, helpers)
     for receiver in ("bob", "charlie"):
-        compiled, _, _ = compile_params("p2", {"n1": 0.5, "n2": 0.3, "m": 0.7,
-                                               "receiver": receiver})
-        for alice, (helper,), gate in zip(compiled.alice_labels, compiled.helper_labels,
-                                          compiled.corrections):
-            assert _same_gate(gate, TABLE2_CORRECTIONS[(alice, helper)])
+        table2 = _corrections("p2", n1=0.5, n2=0.3, m=0.7, receiver=receiver)
+        for row, gate in table2.items():
+            assert np.array_equal(gate.matrix, ORACLE_TABLE2[row]), (receiver, row)
 
-    # nparty-bell at N = 3: the anchor rule is TABLE2 up to a global phase
-    compiled = compile_protocol("bell", (0.5, 0.3), 0.7, 3, 2, None)
+    # nparty-bell: the oracle's anchor rule at every party count and receiver
+    for parties in range(3, 7):
+        anchors = oracle_anchors(parties)
+        for r in range(1, parties):
+            compiled, _, _ = compile_params("nparty-bell", {"ns": (0.5,) * (parties - 1),
+                                                            "m": 0.7, "receiver_index": r})
+            for alice, helpers, gate in zip(compiled.alice_labels, compiled.helper_labels,
+                                            compiled.corrections):
+                rule = oracle_anchor_rule(*anchors[alice], helpers.count("XMinus") % 2, r)
+                assert np.array_equal(gate.matrix, rule), (parties, r, alice, helpers)
+
+    # at N = 3 the rule is Table 2 up to a global phase: it gives ZX = -XZ
+    # on exactly p2's XZ rows, which is why p2 keeps its own names
     renamed = []
-    for alice, (helper,), gate in zip(compiled.alice_labels, compiled.helper_labels,
-                                      compiled.corrections):
-        frozen = TABLE2_CORRECTIONS[(alice, helper)]
-        overlap = abs(np.trace(frozen.matrix.conj().T @ gate.matrix))
-        assert overlap == pytest.approx(2.0, rel=0, abs=1e-12), (alice, helper)
-        if gate.name != frozen.name:
-            renamed.append((alice, helper, frozen.name, gate.name))
-    # the rule gives ZX = -XZ on these rows, which is why p2 keeps its table
-    assert renamed == [("HPlus", "XMinus", "XZ", "ZX"), ("HMinus", "XPlus", "XZ", "ZX"),
-                       ("ZMinus", "XPlus", "XZ", "ZX")]
+    for (alice, helper), gate in _corrections("nparty-bell", ns=(0.5, 0.3), m=0.7).items():
+        paper = ORACLE_TABLE2[(alice, helper)]
+        if not np.array_equal(gate.matrix, paper):
+            assert gate.name == "ZX" and np.array_equal(gate.matrix, -paper), (alice, helper)
+            renamed.append((alice, X_LABELS.index(helper)))
+    assert tuple(renamed) == PRESETS["p2"].xz
 
 def test_verify_table1_grid():
     for n in (0.3, 0.7, 1.0):
