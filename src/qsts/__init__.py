@@ -44,7 +44,7 @@ _EXPORTS = {
         "ProtocolRun",
         "TableRowCheck",
         "bob_bit_withheld_state",
-        "compile_protocol",
+        "compile_params",
         "nparty_bell_targets",
         "run_nparty_bell",
         "run_nparty_ghz",

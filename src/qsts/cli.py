@@ -23,7 +23,7 @@ import math
 import operator
 import sys
 from itertools import product
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .rules import (PRESETS, WEIGHTS, DegenerateChannelError, InputQubit, analytic_rate,
                     choose_m, p2_channels)
@@ -80,27 +80,37 @@ def _json_number(value) -> object:
     return {"re": value.real, "im": value.imag}
 
 
-def _csv(rows: list[dict]) -> str:
-    """Rows sharing their keys as CSV: lists joined by '+', None empty."""
+def _csv(rows: Iterable[dict]) -> Iterator[str]:
+    """Rows sharing their keys as CSV lines, the header with the first row:
+    lists joined by '+', None empty."""
     def cell(value) -> str:
         if isinstance(value, str):
             return value
         if isinstance(value, list):
             return "+".join(value)
         return "" if value is None else _format_float(value)
-    return "\n".join([",".join(rows[0])] + [",".join(map(cell, row.values())) for row in rows])
+    for i, row in enumerate(rows):
+        header = "" if i else ",".join(row) + "\n"
+        yield header + ",".join(map(cell, row.values())) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {out_path}: {exc}") from exc
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write and flush each chunk as it comes, to stdout or to ``out_path``,
+    which is opened with the first chunk: a refusal before it makes no file."""
+    out = None
+    try:
+        for chunk in chunks:
+            if out is None:
+                out = sys.stdout if out_path is None else open(out_path, "w", encoding="utf-8")
+            out.write(chunk)
+            out.flush()
+    except OSError as exc:
+        if out_path is None:
+            raise
+        raise CliError(f"cannot write {out_path}: {exc}") from exc
+    finally:
+        if out is not None and out_path is not None:
+            out.close()
 
 
 # ── argument parsing helpers ─────────────────────────────────────────────
@@ -248,9 +258,9 @@ def _cmd_run(args) -> int:
             "success_probability": run.success_probability,
             "classical_bits": run.branches[0].classical_bits,
         }
-        _emit(render_json(doc), args.out)
+        _emit([render_json(doc) + "\n"], args.out)
     else:
-        _emit(_csv(branches), args.out)
+        _emit(["".join(_csv(branches))], args.out)
     return EXIT_OK
 
 
@@ -305,7 +315,8 @@ def _cmd_efficiency(args) -> int:
         doc = {"analytic": report.analytic, "estimate": report.estimate,
                "samples": report.samples, "std_error": report.std_error, "seed": report.seed}
     # complex weights have no closed form, and their report no "analytic" field
-    _emit(render_json({key: value for key, value in doc.items() if value is not None}), args.out)
+    _emit([render_json({key: value for key, value in doc.items() if value is not None}) + "\n"],
+          args.out)
     return EXIT_OK
 
 
@@ -326,15 +337,19 @@ def _cmd_sweep(args) -> int:
     if not all(map(math.isfinite, (args.start, args.stop, step, last))):
         raise CliError("--from, --to and the span between them must be finite")
 
-    rows = []
+    # every step's flags first, so a refusal comes before any output or numpy
     for i in range(args.steps):
-        value = args.start + i * step
-        params = _params(args, (swept, value))
-        from .efficiency import cpro_monte_carlo  # after the flags: a refusal loads no numpy
-        report = cpro_monte_carlo(args.protocol, params, args.samples, args.seed + i)
-        rows.append({"param": swept, "value": value, "analytic": report.analytic,
-                     "estimate": report.estimate, "std_error": report.std_error})
-    _emit(_csv(rows), args.out)
+        _params(args, (swept, args.start + i * step))
+    from .efficiency import cpro_monte_carlo
+
+    def rows():  # one per step, written as the step finishes
+        for i in range(args.steps):
+            value = args.start + i * step
+            report = cpro_monte_carlo(args.protocol, _params(args, (swept, value)),
+                                      args.samples, args.seed + i)
+            yield {"param": swept, "value": value, "analytic": report.analytic,
+                   "estimate": report.estimate, "std_error": report.std_error}
+    _emit(_csv(rows()), args.out)
     return EXIT_OK
 
 

@@ -9,14 +9,15 @@ the anchor rule's Pauli at (Alice outcome, helper parity), spelt XZ where
 the paper writes XZ for its ZX.  Every measured and channel ket pairs an
 anchor s with its complement, so each corrected branch operator is
 diag(a_j, b_j): ``_layout`` places the terms once per (family, N,
-receiver, XZ rows), and every ``compile_protocol`` call fills them from the
-weights and checks completeness.  ``run_protocol1`` is the ghz family at
-three parties, ``run_nparty_ghz`` at 3..10; ``run_protocol2`` is the bell
-family at three parties (n1 to Bob, n2 to Charlie) named by the paper's
-Table 2, ``run_nparty_bell`` at 3..6.  Each runner enumerates every branch
-exactly (no sampling) from the compiled diagonal, recording per branch the
-outcome labels, joint probability, the receiver's corrected state and its
-fidelity with the input.
+receiver, XZ rows), and ``compile_params``, the one compile entry, checks
+a runner's parameters against its ``rules.PRESETS`` row, fills the terms
+from the weights on every call and checks completeness.  ``run_protocol1``
+is the ghz family at three parties, ``run_nparty_ghz`` at 3..10;
+``run_protocol2`` is the bell family at three parties (n1 to Bob, n2 to
+Charlie) named by the paper's Table 2, ``run_nparty_bell`` at 3..6.  Each
+runner enumerates every branch exactly (no sampling) from the compiled
+diagonal, recording per branch the outcome labels, joint probability, the
+receiver's corrected state and its fidelity with the input.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .rules import (  # noqa: F401
     STRATEGIES,
     DegenerateChannelError,
     MStrategy,
-    _check_parties,
     _resolve_strategy,
     _weight_norm,
     check_params,
@@ -208,19 +208,18 @@ class CompiledProtocol:
 
 
 @lru_cache(maxsize=64)  # every (family, N, receiver, xz) a runner reaches: 59
-def _layout(family: str, num_parties: int, receiver: int, xz: tuple[tuple[str, int], ...] = ()):
+def _layout(family: str, num_parties: int, receiver: int, xz: tuple[tuple[str, int], ...]):
     """The weight-independent part: labels, corrections, classical bits, terms.
 
     The anchor rule corrects at (Alice outcome, helper parity): a bit flip
     where the anchor's input bit differs from the receiver's, a sign flip at
-    odd parity xor a minus outcome; the ``xz`` rows take XZ = -ZX.  Each
-    branch has two terms, Alice's anchor s and its complement; input column
-    c holds term c ^ s_0.  Per column, ``gather`` is the term's index in the
-    compile's table of bra coefficient times channel amplitude, and ``sign``
-    the correction's entry at (c, the term's receiver bit), which must be
-    +-1, times the helpers' X sign (-1)^(sum_h x_h s_h).
+    odd parity xor a minus outcome; the preset's ``xz`` rows, where the rule
+    gives ZX, take XZ = -ZX.  Each branch has two terms, Alice's anchor s
+    and its complement; input column c holds term c ^ s_0.  Per column,
+    ``gather`` is the term's index in the compile's table of bra coefficient
+    times channel amplitude, and ``sign`` the correction's entry at (c, the
+    term's receiver bit), +-1, times the helpers' X sign (-1)^(sum_h x_h s_h).
     """
-    _check_parties(family, num_parties, receiver)
     channels = 1 if family == "ghz" else num_parties - 1
     if family == "ghz":
         # Bell pairs anchored at 00 and 01 on (input, channel qubit), the
@@ -234,9 +233,6 @@ def _layout(family: str, num_parties: int, receiver: int, xz: tuple[tuple[str, i
     rule = {(label, parity): _PAULI_BY_FLAGS[(bool(parity) ^ is_minus, bool(s[0] ^ s[receiver]))]
             for label, (s, is_minus) in zip(alice, anchors) for parity in (0, 1)}
     for row in xz:
-        if rule.get(row) is not SIGMA_Z_SIGMA_X:
-            raise ValueError(f"xz row {row!r} is no row where the anchor rule gives ZX in the "
-                             f"{family} family at N = {num_parties}, receiver {receiver}")
         rule[row] = SIGMA_X_SIGMA_Z
     branches = list(product(range(len(alice)), product((0, 1), repeat=num_parties - 2)))
     corrections = [rule[alice[outcome], sum(xs) % 2] for outcome, xs in branches]
@@ -247,8 +243,6 @@ def _layout(family: str, num_parties: int, receiver: int, xz: tuple[tuple[str, i
     bits = anchor_bits[outcome][:, None, :] ^ term[..., None]
     entry = np.stack([c.matrix.real for c in corrections])[
         np.arange(len(branches))[:, None], np.arange(2), bits[..., receiver]]
-    if not (np.abs(entry) == 1.0).all():
-        raise ValueError(f"corrections at receiver {receiver} do not map each term to its column")
     # bra slot (f, f m*, f m, -f)[2 is_minus + term], then the channel bits
     slot = 2 * minus[outcome][:, None] + term
     gather = (slot << channels) + bits[..., 1:1 + channels] @ (1 << np.arange(channels)[::-1])
@@ -262,32 +256,20 @@ def _layout(family: str, num_parties: int, receiver: int, xz: tuple[tuple[str, i
             tuple(corrections), classical, gather, sign)
 
 
-def compile_protocol(
-    family: str,
-    weights: tuple[complex, ...],
-    m: complex,
-    num_parties: int,
-    receiver: int,
-    xz: tuple[tuple[str, int], ...] = (),
-) -> CompiledProtocol:
-    """Compile a channel family at fixed weights into its branch diagonals.
+def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, dict, str]:
+    """Validate a runner parameter set and compile it: the one compile entry.
 
-    ``weights`` is (n,) for the "ghz" family and one weight per party for
-    the "bell" family.  Parties are 1..num_parties-1; ``receiver`` receives
-    and the others help.  The corrections are the anchor rule's, with XZ
-    on the ``xz`` rows, (Alice label, helper parity) pairs as in
-    ``rules.PRESETS``.  Each call compiles afresh from the cached layout.
-    An ``xz`` row where the rule gives no ZX, arguments that no layout fits
-    (see ``PARTY_CAPS``), weights whose count does not fit the family at
-    ``num_parties``, a non-finite weight, or max(|sum |a_j|^2 - 1|,
-    |sum |b_j|^2 - 1|) > ``NORM_ATOL`` raise ``ValueError``.
+    ``params`` holds a runner's arguments, named as its row of
+    ``rules.PRESETS`` names them; ``rules.check_params`` refuses what the
+    runners refuse.  The weights fill the preset's cached layout afresh on
+    every call, and max(|sum |a_j|^2 - 1|, |sum |b_j|^2 - 1|) > ``NORM_ATOL``
+    raises ``ValueError``.  Returns the instrument, the weights as
+    ``ProtocolRun`` records them, and the receiver's name.
     """
+    (family, weights, m, num_parties, receiver, xz), run_params, name = check_params(
+        protocol, params)
     alice_labels, helper_labels, corrections, bits, gather, sign = _layout(
         family, num_parties, receiver, xz)
-    channels = 1 if family == "ghz" else num_parties - 1
-    if len(weights) != channels:
-        raise ValueError(f"the {family} family at N = {num_parties} takes {channels} "
-                         f"channel weight(s), got {len(weights)}")
     f = _weight_norm(m)
     channel = np.ones(1, dtype=np.complex128)
     for w in weights:
@@ -302,19 +284,8 @@ def compile_protocol(
     if not residual <= NORM_ATOL:
         raise ValueError(f"instrument not complete: max|sum |K_jj|^2 - 1| = {residual!r}")
     diagonal.flags.writeable = False
-    return CompiledProtocol(alice_labels, helper_labels, corrections, bits, diagonal)
-
-
-def compile_params(protocol: str, params: Mapping) -> tuple[CompiledProtocol, dict, str]:
-    """Validate a runner parameter set (``rules.check_params``) and compile it.
-
-    ``params`` holds a runner's arguments, named as its row of
-    ``rules.PRESETS`` names them.  Every runner and the Monte-Carlo
-    estimator validate through here.  Returns the instrument, the weights
-    as ``ProtocolRun`` records them, and the receiver's name.
-    """
-    arguments, run_params, receiver = check_params(protocol, params)
-    return compile_protocol(*arguments), run_params, receiver
+    return (CompiledProtocol(alice_labels, helper_labels, corrections, bits, diagonal),
+            run_params, name)
 
 
 def _branches(compiled: CompiledProtocol, source: InputQubit) -> tuple[BranchRecord, ...]:

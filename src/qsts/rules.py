@@ -258,9 +258,7 @@ def _integer(value, name: str) -> int:
 
 
 def _check_parties(family: str, num_parties: int, receiver: int) -> None:
-    """Refuse a channel family, party count or receiver index that no layout fits."""
-    if family not in PARTY_CAPS:
-        raise ValueError(f"unknown channel family {family!r}")
+    """Refuse a party count or receiver index that the family's ``PARTY_CAPS`` do not fit."""
     low, high = PARTY_CAPS[family]
     if not low <= num_parties <= high:
         raise ValueError(f"the {family} family takes {low}..{high} parties, got {num_parties}")
@@ -277,9 +275,9 @@ def check_params(protocol: str, params: Mapping) -> tuple[tuple, dict, str]:
     a key the row does not take, a missing parameter, another receiver name,
     a party count or index that is no integer or that ``PARTY_CAPS`` does
     not fit, and a non-finite weight raise ``ValueError``, checked in that
-    order.  Returns the ``compile_protocol`` arguments (family, channel
-    weights in channel order, m, parties, receiver index, xz rows), the
-    parameters as a ``ProtocolRun`` records them, and the receiver's name.
+    order.  Returns what ``protocols.compile_params`` compiles (family,
+    channel weights in channel order, m, parties, receiver index, xz rows),
+    the parameters as a ``ProtocolRun`` records them, and the receiver's name.
     """
     preset = PRESETS.get(protocol)
     if preset is None:

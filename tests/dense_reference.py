@@ -32,11 +32,13 @@ from qsts.bases import (
 def dense_compile(family, weights, m, num_parties, receiver, table):
     """(Alice labels, helper labels, correction matrices, classical bits, operators).
 
-    Takes the arguments of ``protocols.compile_protocol``, with ``table`` in
-    place of its ``xz`` rows: the paper's (Alice outcome, helper outcome)
-    table that the compile should reproduce (``oracle.ORACLE_TABLE1`` or
-    ``ORACLE_TABLE2``), or None for the oracle's anchor rule, applied at the
-    parity of the helpers' XMinus outcomes.  ``operators`` is the (B, 2, 2)
+    Takes a layout as ``rules.check_params`` hands it to
+    ``protocols.compile_params`` (family, channel weights in channel order,
+    m, parties, receiver index), with ``table`` in place of the preset's
+    ``xz`` rows: the paper's (Alice outcome, helper outcome) table that the
+    compile should reproduce (``oracle.ORACLE_TABLE1`` or ``ORACLE_TABLE2``),
+    or None for the oracle's anchor rule, applied at the parity of the
+    helpers' XMinus outcomes.  ``operators`` is the (B, 2, 2)
     stack of K_j = C_j M_j.
     """
     alice = BELL_LABELS if family == "ghz" else pair_labels(num_parties)

@@ -13,7 +13,8 @@ import pytest
 
 import qsts
 from conftest import exact_haar_rate
-from qsts import choose_m, cli, cpro2_analytic, cpro_monte_carlo, strategy_targets
+from qsts import (choose_m, cli, cpro2_analytic, cpro_monte_carlo, efficiency,
+                  strategy_targets)
 from qsts.protocols import compile_params
 
 RUN = [sys.executable, "-m", "qsts"]
@@ -457,6 +458,78 @@ def test_sweep_rejects_unknown_param():
     result = invoke("sweep", "--protocol", "p1", "--param", "n1", "--from", "0.1",
                     "--to", "0.5", "--steps", "2", "--m", "1")
     assert result.returncode == 2
+
+
+def test_sweep_writes_each_row_before_the_next_step(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    estimate = efficiency.cpro_monte_carlo
+    seen = []  # the --out file as each estimate starts, None before it exists
+
+    def stub(*args):
+        seen.append(out.read_text() if out.exists() else None)
+        return estimate(*args)
+
+    monkeypatch.setattr(efficiency, "cpro_monte_carlo", stub)
+    assert cli.main(["sweep", "--protocol", "p1", "--param", "n", "--from", "0.1", "--to", "0.9",
+                     "--steps", "4", "--m", "0.5", "--samples", "20", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    assert len(lines) == 5 and lines[0] == "param,value,analytic,estimate,std_error\n"
+    # the file opens with the first row, which brings the header
+    assert seen == [None] + ["".join(lines[:k]) for k in range(2, 5)]
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_refuses_a_degenerate_step_before_estimating_any(monkeypatch, capsys, tmp_path):
+    calls = []
+    monkeypatch.setattr(efficiency, "cpro_monte_carlo", lambda *args: calls.append(args))
+    out = tmp_path / "sweep.csv"
+    # the step at n = 0 is undefined for phi-plus; step 0 is not
+    argv = ["sweep", "--protocol", "p1", "--param", "n", "--from", "-1", "--to", "1",
+            "--steps", "3", "--m", "strategy:phi-plus"]
+    assert cli.main(argv) == 3
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert calls == [] and not out.exists()
+
+
+# ── seeded Monte-Carlo output ────────────────────────────────────────────
+
+#: sha256 of the stdout of seeded ``efficiency`` and ``sweep`` calls, recorded
+#: before the compile had its one entry and before sweep wrote row by row.
+MC_PINS = {
+    "efficiency-p1": (
+        ("efficiency", "--protocol", "p1", "--n", "0.6", "--m", "0.8",
+         "--samples", "2000", "--seed", "7"),
+        "f07421826f5c72e7f6171e0703023b1dbb3b6fae1562a1d164477acf3837503e"),
+    "efficiency-p2-bob": (
+        ("efficiency", "--protocol", "p2", "--n1", "0.5+0.3j", "--n2", "0.8-0.1j",
+         "--m", "0.7+0.2j", "--receiver", "bob", "--samples", "2000", "--seed", "3"),
+        "a080984b6106a58fb50281b1e2cfa8758be3da1821b072e7e89d336aa06743d5"),
+    "efficiency-ghz5": (
+        ("efficiency", "--protocol", "nparty-ghz", "--parties", "5", "--n", "0.45",
+         "--m", "0.9", "--samples", "2000", "--seed", "11"),
+        "c35b803008e8913f1f62bf4694ce071d962a3c352adcfc5970685e566ca1980f"),
+    "efficiency-bell-party2": (
+        ("efficiency", "--protocol", "nparty-bell", "--n-list", "0.5,0.3+0.2j,0.9",
+         "--m", "0.7", "--receiver", "2", "--samples", "2000", "--seed", "5"),
+        "ac2328d055ee95822987b9d9b6b8aa393f00980811db8604a2a13549ad601e73"),
+    "sweep-p1-m": (
+        ("sweep", "--protocol", "p1", "--param", "m", "--from", "0.2", "--to", "1.2",
+         "--steps", "4", "--n", "0.6", "--samples", "500", "--seed", "2"),
+        "670d54dc176f4729369e613fe6d71219e972e76809307ea9564236cafe70afcd"),
+    "sweep-p2-z-plus-bob": (
+        ("sweep", "--protocol", "p2", "--param", "n1", "--from", "0.3", "--to", "0.9",
+         "--steps", "3", "--n2", "0.7", "--m", "strategy:z-plus", "--receiver", "bob",
+         "--samples", "500", "--seed", "9"),
+        "56f6f4b9795bcea6e946b73bc5f5ef859c1e2c3068c4b3682615bb7918184a14"),
+}
+
+
+@pytest.mark.parametrize("name", MC_PINS)
+def test_seeded_estimate_matches_its_pinned_digest(capsys, name):
+    argv, digest = MC_PINS[name]
+    out = _main_stdout(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ── --receiver on efficiency and sweep ───────────────────────────────────

@@ -6,7 +6,6 @@ space."""
 
 import cmath
 import math
-import re
 import sys
 from functools import partial
 from itertools import product
@@ -21,6 +20,9 @@ from dense_reference import dense_compile
 from oracle import (
     ORACLE_TABLE1,
     ORACLE_TABLE2,
+    ZX2,
+    oracle_anchor_rule,
+    oracle_anchors,
     oracle_nparty_bell,
     oracle_nparty_ghz,
     oracle_protocol1,
@@ -32,7 +34,7 @@ from qsts import (
     DegenerateChannelError,
     InputQubit,
     choose_m,
-    compile_protocol,
+    compile_params,
     nparty_bell_targets,
     run_nparty_bell,
     run_nparty_ghz,
@@ -43,14 +45,12 @@ from qsts import (
 from qsts import protocols
 from qsts.bases import BELL_LABELS, X_LABELS, pair_labels
 from qsts.protocols import PARTY_CAPS, PRODUCT_RULES
-from qsts.rules import PRESETS
+from qsts.rules import PRESETS, check_params
 
 SOURCE = InputQubit(0.6, 0.8j)
 
-#: The XZ rows of the paper's Table 1 (p1 and nparty-ghz) and Table 2 (p2),
-#: and by table name, None for the anchor rule as it stands (nparty-bell).
+#: The XZ rows of the paper's Table 1 (p1 and nparty-ghz) and Table 2 (p2).
 P1_XZ, P2_XZ = PRESETS["p1"].xz, PRESETS["p2"].xz
-XZ_ROWS = {"TABLE1": P1_XZ, "TABLE2": P2_XZ, None: ()}
 
 WEIGHT_CASES = {
     "real": (0.45, 0.8, 1.3),
@@ -62,23 +62,26 @@ WEIGHT_CASES = {
 
 
 def _compiled_cases(weights):
-    """(runner call, compile key) for every protocol and receiver."""
+    """(runner call, ``compile_params`` arguments at its layout) for every
+    protocol and receiver.  p1 compiles as nparty-ghz at three parties, and
+    p2's Bob receiver as its Charlie layout with the channels swapped."""
     a, b, c = weights
     cases = []
     for name, r in (("charlie", 2), ("bob", 1)):
         cases.append((lambda q, name=name: run_protocol1(q, a, b, name),
-                      ("ghz", (complex(a),), complex(b), 3, r, P1_XZ)))
-    for name, pair in (("charlie", (a, c)), ("bob", (c, a))):
+                      ("nparty-ghz", {"parties": 3, "n": a, "m": b, "receiver_index": r})))
+    for name, (n1, n2) in (("charlie", (a, c)), ("bob", (c, a))):
         cases.append((lambda q, name=name: run_protocol2(q, a, c, b, name),
-                      ("bell", tuple(map(complex, pair)), complex(b), 3, 2, P2_XZ)))
+                      ("p2", {"n1": n1, "n2": n2, "m": b})))
     for parties in (3, 4, 5):
         for r in range(1, parties):
             cases.append((lambda q, p=parties, r=r: run_nparty_ghz(q, p, a, b, r),
-                          ("ghz", (complex(a),), complex(b), parties, r, P1_XZ)))
+                          ("nparty-ghz", {"parties": parties, "n": a, "m": b,
+                                          "receiver_index": r})))
     for ns in ((a, c), (a, b, c)):
         for r in range(1, len(ns) + 1):
             cases.append((lambda q, ns=ns, r=r: run_nparty_bell(q, ns, b, r),
-                          ("bell", tuple(map(complex, ns)), complex(b), len(ns) + 1, r, ())))
+                          ("nparty-bell", {"ns": ns, "m": b, "receiver_index": r})))
     return cases
 
 
@@ -94,7 +97,7 @@ def _check_run(run):
 def test_instrument_complete_and_matches_branches(case):
     psi = np.array([SOURCE.alpha, SOURCE.beta])
     for run_fn, key in _compiled_cases(WEIGHT_CASES[case]):
-        compiled = compile_protocol(*key)
+        compiled = compile_params(*key)[0]
         diagonal = compiled.diagonal
         assert diagonal.shape == (len(compiled.corrections), 2)
         completeness = (np.abs(diagonal) ** 2).sum(axis=0)
@@ -117,14 +120,23 @@ def test_instrument_complete_and_matches_branches(case):
                 transmitted, rel=0, abs=1e-14), (key, branch.alice_label)
 
 
-# Every (family, parties, receiver) of the party caps, with the XZ rows in
-# use and the paper's table that the dense reference corrects by (None: the
-# oracle's anchor rule).
+# Every (family, parties, receiver) of the party caps, with the preset that
+# reaches it and the paper's table that the dense reference corrects by
+# (None: the oracle's anchor rule).
 COMPILE_LAYOUTS = (
-    [("ghz", n, r, P1_XZ, ORACLE_TABLE1) for n in range(3, 11) for r in range(1, n)]
-    + [("bell", 3, 2, P2_XZ, ORACLE_TABLE2)]
-    + [("bell", n, r, (), None) for n in range(3, 7) for r in range(1, n)]
+    [("nparty-ghz", "ghz", n, r, ORACLE_TABLE1) for n in range(3, 11) for r in range(1, n)]
+    + [("p2", "bell", 3, 2, ORACLE_TABLE2)]
+    + [("nparty-bell", "bell", n, r, None) for n in range(3, 7) for r in range(1, n)]
 )
+
+
+def _preset_params(protocol, weights, m, parties, receiver):
+    """The ``compile_params`` parameters of ``protocol`` at one of its layouts."""
+    if protocol == "nparty-ghz":
+        return {"parties": parties, "n": weights[0], "m": m, "receiver_index": receiver}
+    if protocol == "p2":  # its Charlie receiver, party 2
+        return {"n1": weights[0], "n2": weights[1], "m": m}
+    return {"ns": weights, "m": m, "receiver_index": receiver}
 
 special_weights = st.sampled_from(
     (0.0, -0.0, 1.0, 1e-320, -1e-320, 1e-320j, 1e-300, 1e300, -1e300, 1e300j, 1e-300 + 1e300j))
@@ -142,11 +154,11 @@ compile_weights = st.one_of(
 @given(m=compile_weights, ns=st.lists(compile_weights, min_size=5, max_size=5))
 def test_closed_form_matches_the_dense_reference(m, ns):
     m = complex(m)
-    for family, parties, receiver, xz, table in COMPILE_LAYOUTS:
+    for protocol, family, parties, receiver, table in COMPILE_LAYOUTS:
         weights = tuple(map(complex, ns[:1] if family == "ghz" else ns[:parties - 1]))
-        key = (family, weights, m, parties, receiver, xz)
-        compiled = compile_protocol(*key)
-        alice, helpers, corrections, bits, operators = dense_compile(*key[:-1], table)
+        key = (family, weights, m, parties, receiver)
+        compiled = compile_params(protocol, _preset_params(protocol, *key[1:]))[0]
+        alice, helpers, corrections, bits, operators = dense_compile(*key, table)
         assert (compiled.alice_labels, compiled.helper_labels, compiled.classical_bits) == (
             alice, helpers, bits), key
         assert all(np.array_equal(a.matrix, b)
@@ -158,8 +170,8 @@ def test_closed_form_matches_the_dense_reference(m, ns):
 
 
 def test_completeness_guard_rejects_a_perturbed_instrument(monkeypatch):
-    key = ("bell", (0.5 + 0.2j, 0.7, -1.3), 0.8j, 4, 2, ())
-    compile_protocol(*key)  # the intact instrument passes
+    key = ("nparty-bell", {"ns": (0.5 + 0.2j, 0.7, -1.3), "m": 0.8j, "receiver_index": 2})
+    compile_params(*key)  # the intact instrument passes
     layout = protocols._layout
 
     def perturbed(*args):
@@ -170,76 +182,72 @@ def test_completeness_guard_rejects_a_perturbed_instrument(monkeypatch):
 
     monkeypatch.setattr(protocols, "_layout", perturbed)
     with pytest.raises(ValueError, match="not complete"):
-        compile_protocol(*key)
+        compile_params(*key)
 
 
-def _no_zx_row(row, family, parties, receiver):
-    return re.escape(f"xz row {row!r} is no row where the anchor rule gives ZX in the "
-                     f"{family} family at N = {parties}, receiver {receiver}")
-
-
-@pytest.mark.parametrize(
-    "family, weights, parties, receiver, table, message",
-    [
-        # Table 2's rows fit only the last receiver: at receiver 1 the rule
-        # gives Z on ZMinus/XPlus
-        pytest.param("bell", (0.5, 0.8), 3, 1, "TABLE2", _no_zx_row(("ZMinus", 0), "bell", 3, 1),
-                     id="table2-receiver-1"),
-        ("ghz", (0.5,), 4, 0, "TABLE1", "receiver_index 0 out of range for 4 parties"),
-        ("ghz", (0.5,), 3, 5, "TABLE1", "receiver_index 5 out of range for 3 parties"),
-        # rows naming no outcome of the family
-        pytest.param("bell", (0.5, 0.8), 3, 2, "TABLE1", _no_zx_row(("PsiPlus", 1), "bell", 3, 2),
-                     id="table1-bell-family"),
-        pytest.param("bell", (0.5, 0.8, 0.3), 4, 3, "TABLE2",
-                     _no_zx_row(("HPlus", 1), "bell", 4, 3), id="table2-bell-4-parties"),
-        ("w", (0.5,), 3, 2, None, "unknown channel family 'w'"),
-        ("ghz", (0.5,), 2, 1, "TABLE1", "the ghz family takes 3..10 parties, got 2"),
-        ("bell", (0.5,) * 6, 7, 6, None, "the bell family takes 3..6 parties, got 7"),
-    ],
-)
-def test_compile_rejects_a_layout_that_does_not_fit(
-        family, weights, parties, receiver, table, message):
+@pytest.mark.parametrize("protocol, params, message", [
+    pytest.param("nparty-ghz", {"parties": 4, "n": 0.5, "receiver_index": 0},
+                 "receiver_index 0 out of range for 4 parties", id="ghz-4-receiver-0"),
+    pytest.param("nparty-ghz", {"parties": 3, "n": 0.5, "receiver_index": 5},
+                 "receiver_index 5 out of range for 3 parties", id="ghz-3-receiver-5"),
+    pytest.param("nparty-ghz", {"parties": 2, "n": 0.5, "receiver_index": 1},
+                 "the ghz family takes 3..10 parties, got 2", id="ghz-2-parties"),
+    pytest.param("nparty-bell", {"ns": (0.5,) * 6, "receiver_index": 6},
+                 "the bell family takes 3..6 parties, got 7", id="bell-7-parties"),
+])
+def test_compile_rejects_a_layout_that_does_not_fit(protocol, params, message):
     m = choose_m("ghz-plus", n1=0.5, n2=0.8)
     with pytest.raises(ValueError, match=message):
-        compile_protocol(family, tuple(map(complex, weights)), m, parties, receiver,
-                         XZ_ROWS[table])
+        compile_params(protocol, {**params, "m": m})
 
 
-# an X or Z row spelt XZ would mis-correct, and no completeness check sees it
-@pytest.mark.parametrize("row", [("PsiPlus", 0), ("PhiPlus", 1), ("PsiPlus", 2)])
-def test_compile_rejects_an_xz_row_where_the_rule_gives_no_zx(row):
-    with pytest.raises(ValueError, match=_no_zx_row(row, "ghz", 3, 2)):
-        compile_protocol("ghz", (0.5 + 0j,), 0.7 + 0j, 3, 2, (row,))
+#: The ghz family's Alice outcomes as (channel bit, minus family): Bell pairs
+#: anchored at 00 and 01 on (input, channel qubit), the channel bit copied to
+#: every party.
+GHZ_ANCHORS = {"PhiPlus": (0, False), "PhiMinus": (0, True),
+               "PsiPlus": (1, False), "PsiMinus": (1, True)}
 
 
-def test_layout_rejects_corrections_that_miss_a_column(monkeypatch):
-    # a rule that forgets the bit flip leaves some terms in the wrong column;
-    # the uncached layout reads the patched rule
-    monkeypatch.setitem(protocols._PAULI_BY_FLAGS, (False, True), protocols.IDENTITY)
-    with pytest.raises(ValueError, match="at receiver 1 do not map each term to its column"):
-        protocols._layout.__wrapped__("bell", 3, 1, ())
+def _preset_layouts():
+    """``check_params``'s compile arguments at every layout a preset reaches."""
+    for receiver in ("bob", "charlie"):
+        yield check_params("p1", {"n": 0.5, "m": 0.5, "receiver": receiver})[0]
+        yield check_params("p2", {"n1": 0.5, "n2": 0.8, "m": 0.5, "receiver": receiver})[0]
+    for parties in range(3, 11):
+        for r in range(1, parties):
+            yield check_params("nparty-ghz", {"parties": parties, "n": 0.5, "m": 0.5,
+                                              "receiver_index": r})[0]
+    for parties in range(3, 7):
+        for r in range(1, parties):
+            yield check_params("nparty-bell", {"ns": (0.5,) * (parties - 1), "m": 0.5,
+                                               "receiver_index": r})[0]
 
 
-@pytest.mark.parametrize("family, weights, parties, receiver, table, message", [
-    ("ghz", (0.5, 0.3), 3, 2, "TABLE1", "the ghz family at N = 3 takes 1 channel weight"),
-    ("ghz", (), 5, 2, "TABLE1", r"the ghz family at N = 5 takes 1 channel weight\(s\), got 0"),
-    ("bell", (0.5,), 3, 2, "TABLE2", r"the bell family at N = 3 takes 2 channel weight\(s\), got 1"),
-    ("bell", (0.5, 0.8, 0.3), 3, 2, None, "the bell family at N = 3 takes 2 channel weight"),
-    ("bell", (0.5, 0.8), 5, 4, None, "the bell family at N = 5 takes 4 channel weight"),
-])
-def test_compile_refuses_weights_that_do_not_fit_the_family(
-        family, weights, parties, receiver, table, message):
-    with pytest.raises(ValueError, match=message):
-        compile_protocol(family, tuple(map(complex, weights)), 0.5 + 0j, parties, receiver,
-                         XZ_ROWS[table])
+def test_every_preset_xz_row_is_a_zx_row_of_the_anchor_rule():
+    # the compile spells XZ = -ZX on these rows and checks nothing: an X or Z
+    # row spelt XZ would mis-correct with the instrument still complete
+    checked = 0
+    for family, _, _, parties, receiver, xz in _preset_layouts():
+        for label, parity in xz:
+            if family == "ghz":
+                bit, minus = GHZ_ANCHORS[label]
+                anchor = (0,) + (bit,) * (parties - 1)
+            else:
+                anchor, minus = oracle_anchors(parties)[label]
+            assert np.array_equal(oracle_anchor_rule(anchor, minus, parity, receiver), ZX2), (
+                family, parties, receiver, label, parity)
+            checked += 1
+    # p1 at two receivers, nparty-ghz at 44 layouts, one row each; p2's three
+    # rows at its one layout, whichever party receives
+    assert checked == 2 + 44 + 2 * 3
 
 
 def test_every_call_compiles_afresh():
     # +0.0 and -0.0 compare and hash equal, so a compile cached on its
     # arguments would hand the second call the first call's zero signs
     weights = (0.5 + 0.2j, 0.7)
-    plus = compile_protocol("bell", weights, complex(0.0), 3, 2)
-    minus = compile_protocol("bell", weights, complex(-0.0), 3, 2)
+    plus = compile_params("nparty-bell", {"ns": weights, "m": complex(0.0)})[0]
+    minus = compile_params("nparty-bell", {"ns": weights, "m": complex(-0.0)})[0]
     assert np.array_equal(plus.diagonal, minus.diagonal)
     signs = [np.signbit(c.diagonal.view(np.float64)) for c in (plus, minus)]
     assert (signs[0] != signs[1]).any()
@@ -278,9 +286,10 @@ def _same_instrument(a, b):
 def test_ghz_instrument_is_the_same_at_every_receiver(n, m):
     # the GHZ-type channel is symmetric in the parties
     for parties in range(3, 11):
-        first = compile_protocol("ghz", (complex(n),), complex(m), parties, 1, P1_XZ)
+        params = {"parties": parties, "n": n, "m": m}
+        first = compile_params("nparty-ghz", {**params, "receiver_index": 1})[0]
         for r in range(2, parties):
-            other = compile_protocol("ghz", (complex(n),), complex(m), parties, r, P1_XZ)
+            other = compile_params("nparty-ghz", {**params, "receiver_index": r})[0]
             assert _same_instrument(first, other), (parties, r)
 
 

@@ -14,7 +14,6 @@ from qsts import (
     STRATEGIES,
     choose_m,
     compare_protocols,
-    compile_protocol,
     concurrence,
     cpro1_analytic,
     cpro2_analytic,
@@ -26,10 +25,8 @@ from qsts import (
     run_protocol2,
     transmission_sum,
 )
-from qsts.rules import PRESETS, _closed_form
+from qsts.rules import _closed_form
 from qsts.protocols import PRODUCT_RULES, compile_params
-
-P1_XZ, P2_XZ = PRESETS["p1"].xz, PRESETS["p2"].xz
 
 EXTREME_WEIGHTS = (1e155, 1e300, -1e308, 1e-300)
 
@@ -102,9 +99,9 @@ def test_closed_forms_finite_at_extreme_weights(x):
                  cpro2_analytic(1.0, 0.5, x)):
         assert rate == pytest.approx(2 / 3, abs=1e-15)
     # and the engine's exact Haar rate at the same weights agrees
-    p1 = compile_protocol("ghz", (complex(x),), complex(0.5), 3, 2, P1_XZ)
+    p1 = compile_params("nparty-ghz", {"parties": 3, "n": x, "m": 0.5, "receiver_index": 2})[0]
     assert exact_haar_rate(p1) == pytest.approx(cpro1_analytic(x, 0.5), abs=1e-14)
-    p2 = compile_protocol("bell", (complex(x), complex(0.5)), complex(0.8), 3, 2, P2_XZ)
+    p2 = compile_params("p2", {"n1": x, "n2": 0.5, "m": 0.8})[0]
     assert exact_haar_rate(p2) == pytest.approx(cpro2_analytic(x, 0.5, 0.8), abs=1e-14)
 
 
@@ -353,9 +350,10 @@ def test_exact_rate_equals_closed_forms(rng):
     for _ in range(200):
         n, m, n2 = rng.uniform(-3.0, 3.0, size=3)
         for r in (1, 2):
-            p1 = compile_protocol("ghz", (complex(n),), complex(m), 3, r, P1_XZ)
+            p1 = compile_params("nparty-ghz", {"parties": 3, "n": n, "m": m,
+                                               "receiver_index": r})[0]
             assert abs(exact_haar_rate(p1) - cpro1_analytic(n, m)) <= 1e-14
-        p2 = compile_protocol("bell", (complex(n), complex(n2)), complex(m), 3, 2, P2_XZ)
+        p2 = compile_params("p2", {"n1": n, "n2": n2, "m": m})[0]
         assert abs(exact_haar_rate(p2) - cpro2_analytic(n, n2, m)) <= 1e-14
 
 
@@ -363,7 +361,8 @@ def test_exact_rate_of_nparty_ghz_is_the_p1_form(rng):
     for parties in range(3, 11):
         n, m = rng.uniform(-3.0, 3.0, size=2)
         for r in range(1, parties):
-            compiled = compile_protocol("ghz", (complex(n),), complex(m), parties, r, P1_XZ)
+            compiled = compile_params("nparty-ghz", {"parties": parties, "n": n, "m": m,
+                                                     "receiver_index": r})[0]
             assert abs(exact_haar_rate(compiled) - cpro1_analytic(n, m)) <= 1e-14
 
 
@@ -373,7 +372,7 @@ def test_exact_rate_of_nparty_bell_is_the_product_form(rng):
         m = rng.uniform(-3.0, 3.0)
         expected = (2 / 3) * (1 + _c(m) * np.prod([_c(x) for x in ns]) / 2)
         for r in range(1, parties):
-            compiled = compile_protocol("bell", tuple(map(complex, ns)), complex(m), parties, r)
+            compiled = compile_params("nparty-bell", {"ns": ns, "m": m, "receiver_index": r})[0]
             assert abs(exact_haar_rate(compiled) - expected) <= 1e-14
 
 
@@ -391,10 +390,12 @@ complex_weights = st.complex_numbers(max_magnitude=20.0)
 @given(n=complex_weights, m=complex_weights)
 def test_ghz_b_is_the_same_at_every_party_count_and_receiver(n, m):
     n, m = complex(n), complex(m)
-    reference = _b(compile_protocol("ghz", (n,), m, 3, 2, P1_XZ))
+    reference = _b(compile_params("nparty-ghz", {"parties": 3, "n": n, "m": m,
+                                                 "receiver_index": 2})[0])
     for parties in range(3, 11):
         for r in range(1, parties):
-            b = _b(compile_protocol("ghz", (n,), m, parties, r, P1_XZ))
+            b = _b(compile_params("nparty-ghz", {"parties": parties, "n": n, "m": m,
+                                                 "receiver_index": r})[0])
             assert abs(b - reference) <= 1e-13, (parties, r)
 
 

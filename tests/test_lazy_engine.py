@@ -246,6 +246,6 @@ def test_cli_resolves_the_names_the_tracer_patches_from_their_modules():
     for name in cli._TRACED:
         module = efficiency if name in ("cpro_monte_carlo", "haar_sample") else protocols
         assert getattr(cli, name) is getattr(module, name), name
-    for name in ("compile_protocol", "compile_params", "no_such_name"):
+    for name in ("compile_params", "no_such_name"):
         with pytest.raises(AttributeError):
             getattr(cli, name)
