@@ -26,7 +26,7 @@ from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .rules import (PRESETS, WEIGHTS, DegenerateChannelError, InputQubit, analytic_rate,
-                    choose_m, p2_channels)
+                    check_params, choose_m, p2_channels)
 
 if TYPE_CHECKING:
     from .protocols import ProtocolRun
@@ -337,9 +337,9 @@ def _cmd_sweep(args) -> int:
     if not all(map(math.isfinite, (args.start, args.stop, step, last))):
         raise CliError("--from, --to and the span between them must be finite")
 
-    # every step's flags first, so a refusal comes before any output or numpy
+    # check every step first, so a refusal comes before any output or numpy
     for i in range(args.steps):
-        _params(args, (swept, args.start + i * step))
+        check_params(args.protocol, _params(args, (swept, args.start + i * step)))
     from .efficiency import cpro_monte_carlo
 
     def rows():  # one per step, written as the step finishes

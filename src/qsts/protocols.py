@@ -153,34 +153,38 @@ class ProtocolRun:
 
 # ── m-strategy targets ───────────────────────────────────────────────────
 
+def _pattern_targets(s: MStrategy, num_parties: int) -> frozenset[str]:
+    # the paired-family outcomes of the rule's sign whose anchor carries its pattern
+    pattern = tuple(int(c in s.flipped) for c in range(num_parties - 1))
+    return frozenset(label for label, (anchor, minus)
+                     in zip(pair_labels(num_parties), pair_anchors(num_parties))
+                     if anchor[1:] == pattern and minus == s.minus)
+
+
 def strategy_targets(strategy: MStrategy | str, *, real: bool = True) -> frozenset[str]:
     """Alice outcomes driven to fidelity 1 by a strategy.
 
-    Single-channel strategies hit one outcome for complex weights and a pair
-    for real weights; two-channel strategies always hit their pair.
+    Single-channel strategies hit the Bell outcome whose anchor carries their
+    pattern, ``BELL_LABELS[i]`` at i = 2 |flipped| + minus, and for real weights
+    also ``BELL_LABELS[3 - i]``; two-channel strategies hit their pattern's pair.
     """
     s = _resolve_strategy(strategy)
-    if s.protocol == "p1" and not real:
-        return frozenset((s.solo_target,))
-    return frozenset(s.paired_targets)
+    if s.protocol == "p2":
+        return _pattern_targets(s, 3)
+    i = 2 * len(s.flipped) + s.minus
+    return frozenset({BELL_LABELS[i], BELL_LABELS[3 - i]} if real else {BELL_LABELS[i]})
 
 
 def nparty_bell_targets(strategy: MStrategy | str, num_parties: int) -> frozenset[str]:
     """Outcome labels targeted by a product rule in the Bell-channel extension.
 
-    Generalises the all-zero / leading-one anchor pairs; at three parties
+    The anchors with every channel bit 0, input bit either; at three parties
     these are exactly the labels of ``strategy_targets``.
     """
     s = _resolve_strategy(strategy)
     if s.name not in PRODUCT_RULES:
         raise ValueError(f"strategy {s.name!r} has no many-party generalisation")
-    minus = s.name.endswith("minus")
-    labels = []
-    anchors_wanted = {(0,) * num_parties, (1,) + (0,) * (num_parties - 1)}
-    for label, (anchor, is_minus) in zip(pair_labels(num_parties), pair_anchors(num_parties)):
-        if anchor in anchors_wanted and is_minus == minus:
-            labels.append(label)
-    return frozenset(labels)
+    return _pattern_targets(s, num_parties)
 
 
 # ── compiled branch instruments ─────────────────────────────────────────

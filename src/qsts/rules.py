@@ -74,39 +74,30 @@ class DegenerateChannelError(ValueError):
 class MStrategy:
     """A named rule fixing the basis weight m from the channel weights.
 
-    ``solo_target`` is the single outcome driven to fidelity 1 for complex
-    channel weights (single-channel protocol only); with real weights the
-    outcomes pair up and ``paired_targets`` apply.
+    The rule makes exact the Alice outcomes of sign ``minus`` whose anchor
+    has bit 1 on the ``flipped`` channels, as ``choose_m`` orders its
+    weights, and bit 0 on the others.
     """
 
     name: str
     protocol: str  # "p1" | "p2"
-    solo_target: str | None
-    paired_targets: tuple[str, ...]
+    flipped: tuple[int, ...]
+    minus: bool
 
 
+#: Each rule is a stem, which fixes its flipped channels, and a sign.
 STRATEGIES: dict[str, MStrategy] = {
-    s.name: s
-    for s in (
-        MStrategy("phi-plus", "p1", "PhiPlus", ("PhiPlus", "PsiMinus")),
-        MStrategy("phi-minus", "p1", "PhiMinus", ("PhiMinus", "PsiPlus")),
-        MStrategy("psi-plus", "p1", "PsiPlus", ("PhiMinus", "PsiPlus")),
-        MStrategy("psi-minus", "p1", "PsiMinus", ("PhiPlus", "PsiMinus")),
-        MStrategy("ghz-plus", "p2", None, ("GHZPlus", "HPlus")),
-        MStrategy("h-plus", "p2", None, ("GHZPlus", "HPlus")),
-        MStrategy("ghz-minus", "p2", None, ("GHZMinus", "HMinus")),
-        MStrategy("h-minus", "p2", None, ("GHZMinus", "HMinus")),
-        MStrategy("z-plus", "p2", None, ("ZPlus", "GPlus")),
-        MStrategy("g-plus", "p2", None, ("ZPlus", "GPlus")),
-        MStrategy("z-minus", "p2", None, ("ZMinus", "GMinus")),
-        MStrategy("g-minus", "p2", None, ("ZMinus", "GMinus")),
-    )
+    f"{stem}-{sign}": MStrategy(f"{stem}-{sign}", protocol, flipped, sign == "minus")
+    for stem, protocol, flipped in (("phi", "p1", ()), ("psi", "p1", (0,)), ("ghz", "p2", ()),
+                                    ("h", "p2", ()), ("z", "p2", (0,)), ("g", "p2", (0,)))
+    for sign in ("plus", "minus")
 }
 
 
-#: The two-channel rules that set m from the product of the channel weights,
-#: and so apply to any number of Bell-type channels.
-PRODUCT_RULES = ("ghz-plus", "h-plus", "ghz-minus", "h-minus")
+#: The two-channel rules that flip no channel: they set m from the product of
+#: the channel weights, and so apply to any number of Bell-type channels.
+PRODUCT_RULES = tuple(name for name, s in STRATEGIES.items()
+                      if s.protocol == "p2" and not s.flipped)
 
 
 def _resolve_strategy(strategy: MStrategy | str) -> MStrategy:
@@ -124,33 +115,35 @@ def _split(z: complex) -> tuple[complex, int]:
     return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
 
 
-def _product_rule(weights: tuple[complex, ...], minus: bool) -> complex:
-    """m = prod(weights) for a minus rule, conj(1/prod(weights)) for a plus rule.
-
-    Where the plain product leaves the range of a double and no weight is 0,
-    a partial product may have over- or underflowed, so the product is
-    carried as a scaled mantissa and a binary exponent instead.
-    """
-    product = reduce(mul, weights, complex(1.0))
-    if 0 in weights or (product and cmath.isfinite(product)):
-        return product if minus else (1.0 / product).conjugate()
+def _scaled(weights: Sequence[complex]) -> tuple[complex, int]:
+    # prod(weights) = mantissa * 2**exponent, with no partial product out of range
     mantissa, exponent = complex(1.0), 0
     for w in weights:
         factor, e = _split(w)
         mantissa, shift = _split(mantissa * factor)
         exponent += e + shift
-    if not minus:
-        mantissa, exponent = (1.0 / mantissa).conjugate(), -exponent
+    return mantissa, exponent
+
+
+def _quotient(top: Sequence[complex], bottom: Sequence[complex]) -> complex:
+    """prod(top) / prod(bottom), each product carried as ``_scaled`` does where
+    a plain one leaves the range of a double and no weight is 0.  An empty
+    ``bottom`` divides nothing, so the sign of a zero part survives."""
+    num, den = reduce(mul, top, complex(1.0)), reduce(mul, bottom, complex(1.0))
+    if 0 in top or 0 in bottom or (num and den and cmath.isfinite(num) and cmath.isfinite(den)):
+        return num / den if bottom else num
+    (a, ea), (b, eb) = _scaled(top), _scaled(bottom)
+    mantissa = a / b if bottom else a
     try:
-        m = complex(math.ldexp(mantissa.real, exponent), math.ldexp(mantissa.imag, exponent))
+        q = complex(math.ldexp(mantissa.real, ea - eb), math.ldexp(mantissa.imag, ea - eb))
     except OverflowError:
         return complex(math.inf)
-    if max(abs(m.real), abs(m.imag)) < sys.float_info.min:
-        # m is 0 or subnormal: keep a zero of the plain rule, sign and all
-        plain = product if minus or not product else (1.0 / product).conjugate()
+    if max(abs(q.real), abs(q.imag)) < sys.float_info.min and den:
+        # q is 0 or subnormal: keep a zero of the plain quotient, sign and all
+        plain = num / den if bottom else num
         if plain == 0:
             return plain
-    return m
+    return q
 
 
 def choose_m(
@@ -163,43 +156,31 @@ def choose_m(
 ) -> complex:
     """Resolve the basis weight mandated by a named strategy.
 
-    Single-channel rules take ``n``; two-channel rules take ``n1``/``n2`` or,
-    for the ``PRODUCT_RULES`` of the many-party extension, the full sequence
-    ``ns``.  For "p2", ``n1`` is the helper's channel weight and ``n2`` the
-    receiver's, as ``p2_channels`` orders a runner's weights.  Only the ratio
-    rules (z/g) tell the two apart.  Conjugations are applied literally: a
-    rule written m* = 1/n yields conj(1/n).  A non-finite weight, or an m
-    beyond the range of a double, raises ``ValueError``; a weight the rule
-    divides by that is exactly 0 raises ``DegenerateChannelError``.
+    Single-channel rules take ``n``; two-channel rules take ``n1``/``n2``
+    (the helper's channel weight, then the receiver's, as ``p2_channels``
+    orders them) or, for the ``PRODUCT_RULES``, any number of weights ``ns``.
+    With N0 the product of the weights of the channels the rule leaves at
+    bit 0 and N1 of those it flips, a minus rule sets m = N0/N1 and a plus
+    rule m = conj(N1/N0).  A non-finite weight, or an m beyond the range of
+    a double, raises ``ValueError``; a weight in the divisor that is exactly
+    0 raises ``DegenerateChannelError``.
     """
     s = _resolve_strategy(strategy)
+    if s.protocol == "p1":
+        if n is None:
+            raise ValueError(f"strategy {s.name!r} needs the channel weight n")
+        ns = (n,)
+    elif ns is None:
+        if n1 is None or n2 is None:
+            raise ValueError(f"strategy {s.name!r} needs channel weights n1 and n2")
+        ns = (n1, n2)
+    weights = tuple(_finite(complex(x)) for x in ns)
+    if s.flipped and s.protocol == "p2" and len(weights) != 2:
+        raise ValueError(f"strategy {s.name!r} applies to exactly two channels")
+    ones = [weights[c] for c in s.flipped]
+    zeros = [w for c, w in enumerate(weights) if c not in s.flipped]
     try:
-        if s.protocol == "p1":
-            if n is None:
-                raise ValueError(f"strategy {s.name!r} needs the channel weight n")
-            n = _finite(complex(n))
-            if s.name == "phi-plus":
-                m = (1.0 / n).conjugate()
-            elif s.name == "phi-minus":
-                m = n
-            elif s.name == "psi-plus":
-                m = n.conjugate()
-            else:
-                m = 1.0 / n  # psi-minus
-        else:
-            if ns is None:
-                if n1 is None or n2 is None:
-                    raise ValueError(f"strategy {s.name!r} needs channel weights n1 and n2")
-                ns = (n1, n2)
-            weights = tuple(_finite(complex(x)) for x in ns)
-            if s.name in PRODUCT_RULES:
-                m = _product_rule(weights, s.name.endswith("minus"))
-            elif len(weights) != 2:
-                raise ValueError(f"strategy {s.name!r} applies to exactly two channels")
-            elif s.name in ("z-plus", "g-plus"):
-                m = (weights[0] / weights[1]).conjugate()
-            else:
-                m = weights[1] / weights[0]  # z-minus / g-minus
+        m = _quotient(zeros, ones) if s.minus else _quotient(ones, zeros).conjugate()
     except ZeroDivisionError:
         raise DegenerateChannelError(
             f"strategy {s.name!r} is undefined for a vanishing channel weight"

@@ -1,6 +1,9 @@
 """CLI subcommands: output schema, determinism, exit codes."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,12 +13,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsts
 from conftest import exact_haar_rate
 from qsts import (choose_m, cli, cpro2_analytic, cpro_monte_carlo, efficiency,
                   strategy_targets)
-from qsts.protocols import compile_params
+from qsts.protocols import PRODUCT_RULES, compile_params
 
 RUN = [sys.executable, "-m", "qsts"]
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -681,3 +686,153 @@ def test_readme_cli_command_runs(argv, tmp_path):
         assert (tmp_path / argv[argv.index("--out") + 1]).read_text().strip()
     else:
         assert result.stdout.strip()
+
+
+# ── grammar property ─────────────────────────────────────────────────────
+
+def _subparsers():
+    """Each subcommand's parser by name, read from ``build_parser()`` itself."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+_STRATEGY_TOKENS = tuple(f"strategy:{name}" for name in qsts.STRATEGIES)
+#: Tokens that each flag takes, by flag.  A count that the CLI accepts is
+#: small (--samples at most 50, --steps at most 5); the huge ones lie beyond
+#: what it accepts, so no drawn call asks for a long run.
+_VALID = {
+    "--protocol": tuple(qsts.rules.PRESETS),
+    "--n": ("0.5", "1", "0.3+0.4j", "-0.7", "0", "0.5-0j"),
+    "--n1": ("0.5", "0.8", "0.2-0.6j", "1", "0"),
+    "--n2": ("0.3", "0.5", "-0.4+0.1j", "1", "0"),
+    "--n-list": ("0.5,0.4", "0.5,0.4,0.8", "0.6+0.2j,0.3,0.9,0.7,0.2", "1,1"),
+    "--parties": ("3", "4", "5", "10"),
+    "--m": ("0.5", "1", "0.6-0.2j", "2", "n", "m", "n1", *_STRATEGY_TOKENS),
+    "--seed": ("0", "1", "7", str(10**400)),
+    "--input": ("haar", "haar:3", "0.6,0,0.8,0", "0.6,0.0,0,0.8"),
+    "--receiver": ("bob", "charlie", "1", "2", "3"),
+    "--format": ("json", "csv"),
+    "--samples": ("1", "2", "20", "50"),
+    "--tolerance": ("1e-10", "0.5", "0"),
+    "--corrupt": ("PhiPlus,XPlus", "GHZMinus,XMinus"),
+    "--param": ("n", "m", "n1", "n2"),
+    "--from": ("0", "0.1", "0.5", "-0.5"),
+    "--to": ("0.5", "1", "2"),
+    "--steps": ("1", "2", "5"),
+}
+#: Extreme, non-finite and malformed tokens, and integers far beyond any cap.
+_BAD = ("1e308", "-1e308", "5e-324", "1e300+1e300j", "nan", "inf", "-inf", "1+infj",
+        "1e999", "abc", "", "0.5,", "1,,2", "strategy:", "strategy:none", "haar:-1",
+        "haar:x", "1,0,1,0", "1e200,0,0,0", "-1", "-0.0", "1.5", "0x10",
+        str(-10**30), str(10**400), "p7", "x")
+
+
+#: Every flag's valid tokens, as values of the other flags.  An integer above
+#: 5 could be a long --steps run, so none is misplaced.
+_MISPLACED = tuple(sorted({t for values in _VALID.values() for t in values
+                           if not (t.isdigit() and int(t) > 5)}))
+
+
+@st.composite
+def _argv(draw, out_dir):
+    """A command line: a subcommand with the flags that its parser and its
+    protocol's parameters ask for, each with a valid token, then up to three
+    faults: a token that is extreme, non-finite, malformed or misplaced, a
+    flag or its value left out, a flag the protocol does not read, a stray
+    token."""
+    parsers = _subparsers()
+    command = draw(st.sampled_from(sorted(parsers)))
+    actions = {a.option_strings[0]: a for a in parsers[command]._actions
+               if a.option_strings and "-h" not in a.option_strings}
+    valid = dict(_VALID, **{"--out": (str(out_dir / "out.txt"),
+                                      str(out_dir / "missing" / "out.txt"), str(out_dir))})
+    wanted = {flag for flag, action in actions.items() if action.required}
+    channel_flags = set(cli._FLAGS.values()) - {"--m"}  # each given when the protocol reads it
+    if "--protocol" in actions:
+        protocol = draw(st.sampled_from(actions["--protocol"].choices))
+        names = qsts.rules.PRESETS[protocol].params
+        if command == "sweep":
+            swept = draw(st.sampled_from(qsts.rules.WEIGHTS[protocol]))
+            valid["--param"] = (swept,)
+            names = [name for name in names if name != swept]
+        wanted |= {cli._FLAGS[name] for name in names if name != "m"} | {"--samples"}
+        family = "p1" if protocol in ("p1", "nparty-ghz") else "p2"
+        tracked = (swept,) if command == "sweep" and swept != "m" else ()
+        valid["--m"] = ("0.5", "1", "0.6-0.2j", "2", *tracked, *(
+            f"strategy:{name}" for name, rule in qsts.STRATEGIES.items()
+            if rule.protocol == family and (protocol != "nparty-bell" or name in PRODUCT_RULES)))
+        valid["--protocol"] = (protocol,)
+        valid["--receiver"] = ("1", "2") if protocol.startswith("nparty") else ("bob", "charlie")
+    pairs = [[flag, draw(st.sampled_from(valid[flag]))] if action.nargs != 0 else [flag]
+             for flag, action in actions.items()
+             if flag in wanted or flag not in channel_flags and draw(st.integers(0, 2)) == 0]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2, 3)))):
+        fault = draw(st.sampled_from(("token", "token", "drop-value", "drop-flag", "extra",
+                                      "stray")))
+        index = draw(st.integers(0, max(len(pairs) - 1, 0)))
+        target = pairs[index] if pairs else ["--out"]
+        if fault == "token" and len(target) == 2 and target[0] != "--out":
+            target[1] = draw(st.sampled_from(_BAD + _MISPLACED))
+        elif fault == "drop-value" and len(target) == 2 and target[0] != "--out":
+            target.pop()
+        elif fault == "drop-flag" and pairs:
+            pairs.pop(index)
+        elif fault == "extra":
+            flag = draw(st.sampled_from(sorted(set(actions) - {"--out"})))
+            pairs.append([flag] if actions[flag].nargs == 0
+                         else [flag, draw(st.sampled_from(valid[flag]))])
+        elif fault == "stray":
+            pairs.insert(index, [draw(st.sampled_from(_BAD + _MISPLACED + ("--bogus",)))])
+    return [command, *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+
+
+def _assert_strict_output(command, text):
+    if command == "verify-tables":
+        *rows, summary = text.splitlines()
+        assert rows and all(row.split()[0] in ("PASS", "FAIL") for row in rows)
+        assert "rows within tolerance" in summary
+    elif text.startswith("{"):
+        def refuse(constant):
+            raise AssertionError(f"non-finite JSON constant {constant}")
+        json.loads(text, parse_constant=refuse)
+    else:
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        assert rows and all(len(row) == len(header) for row in rows)
+        for cell in (cell for row in rows for cell in row):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), cell
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("grammar")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_command_line_exits_with_a_documented_code(out_dir, data):
+    argv = data.draw(_argv(out_dir))
+    out_file = out_dir / "out.txt"
+    out_file.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(out_dir)  # a relative path that slipped through lands here
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's refusals
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    stdout, stderr = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 2, 3, 4), (argv, code, stderr)
+    if code == 0:
+        _assert_strict_output(argv[0], out_file.read_text() if "--out" in argv else stdout)
+    elif code in (2, 3):
+        assert stdout == "" and stderr.strip(), (argv, stdout, stderr)
+    else:
+        assert argv[0] == "verify-tables", (argv, stderr)

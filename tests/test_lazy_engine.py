@@ -126,6 +126,17 @@ def test_sweep_refuses_steps_beyond_a_double_without_numpy(steps):
     assert not numpy_loaded
 
 
+@pytest.mark.parametrize("steps", [3, 10**8])
+def test_sweep_refuses_a_bad_receiver_before_any_estimate(steps):
+    # the first pass checks every step's parameters as the compile does; a
+    # refusal left to the estimates would come after 10**8 steps of that pass
+    argv = ("sweep", *P1, "--n", "0.5", "--receiver", "x", "--param", "m", "--from", "0",
+            "--to", "1", "--steps", str(steps), "--samples", "2")
+    stdout, stderr, numpy_loaded = _probe(argv, 2, timeout=20)
+    assert (stdout, stderr) == ("", ["error: receiver must be 'bob' or 'charlie', got 'x'"])
+    assert not numpy_loaded
+
+
 def test_analytic_only_refuses_a_party_count_beyond_the_caps_without_numpy():
     # the closed-form path checks parameters as the compile does
     argv = ("efficiency", "--protocol", "nparty-ghz", "--parties", "2", "--n", "0.5",

@@ -131,6 +131,25 @@ def test_protocol2_raw_branch_carries_joint_expansion():
 
 # ── strategies ───────────────────────────────────────────────────────────
 
+#: The paper's strategy table: each rule's m from the channel weights (n1 the
+#: helper's, n2 the receiver's), the outcome it makes exact for a complex
+#: weight (single-channel rules only) and the pair it makes exact otherwise.
+STRATEGY_TABLE = {
+    "phi-plus": (lambda n: (1 / n).conjugate(), "PhiPlus", {"PhiPlus", "PsiMinus"}),
+    "phi-minus": (lambda n: n, "PhiMinus", {"PhiMinus", "PsiPlus"}),
+    "psi-plus": (lambda n: n.conjugate(), "PsiPlus", {"PhiMinus", "PsiPlus"}),
+    "psi-minus": (lambda n: 1 / n, "PsiMinus", {"PhiPlus", "PsiMinus"}),
+    "ghz-plus": (lambda n1, n2: (1 / (n1 * n2)).conjugate(), None, {"GHZPlus", "HPlus"}),
+    "h-plus": (lambda n1, n2: (1 / (n1 * n2)).conjugate(), None, {"GHZPlus", "HPlus"}),
+    "ghz-minus": (lambda n1, n2: n1 * n2, None, {"GHZMinus", "HMinus"}),
+    "h-minus": (lambda n1, n2: n1 * n2, None, {"GHZMinus", "HMinus"}),
+    "z-plus": (lambda n1, n2: (n1 / n2).conjugate(), None, {"ZPlus", "GPlus"}),
+    "g-plus": (lambda n1, n2: (n1 / n2).conjugate(), None, {"ZPlus", "GPlus"}),
+    "z-minus": (lambda n1, n2: n2 / n1, None, {"ZMinus", "GMinus"}),
+    "g-minus": (lambda n1, n2: n2 / n1, None, {"ZMinus", "GMinus"}),
+}
+
+
 def test_choose_m_examples():
     assert choose_m("phi-minus", n=0.5) == 0.5
     assert choose_m("phi-plus", n=0.5) == 2.0
@@ -140,6 +159,14 @@ def test_choose_m_examples():
     n = 0.5 + 0.5j
     assert choose_m("psi-plus", n=n) == n.conjugate()
     assert choose_m("phi-plus", n=n) == (1 / n).conjugate()
+    # every rule is the paper's formula exactly, with no tolerance
+    for n, other in ((0.5, 0.25), (-0.3, 1.7), (0.6 + 0.3j, 0.2 - 0.9j), (2.5j, -0.4 + 0.1j)):
+        for name, (rule, solo, _) in STRATEGY_TABLE.items():
+            if solo is not None:
+                assert choose_m(name, n=n) == rule(n), name
+            else:
+                assert choose_m(name, n1=n, n2=other) == rule(n, other), name
+                assert choose_m(name, n1=other, n2=n) == rule(other, n), name
 
 
 def test_choose_m_degenerate_channel():
@@ -165,11 +192,20 @@ def test_choose_m_refuses_a_non_finite_weight_as_such(strategy, weights):
 
 
 def test_strategy_real_weight_pairing():
-    assert strategy_targets("phi-minus", real=True) == {"PhiMinus", "PsiPlus"}
-    assert strategy_targets("psi-minus", real=True) == {"PhiPlus", "PsiMinus"}
-    assert strategy_targets("phi-plus", real=False) == {"PhiPlus"}
-    assert strategy_targets("h-minus") == {"GHZMinus", "HMinus"}
-    assert strategy_targets("g-plus") == {"ZPlus", "GPlus"}
+    assert STRATEGIES.keys() == STRATEGY_TABLE.keys()
+    for name, (_, solo, pair) in STRATEGY_TABLE.items():
+        assert strategy_targets(name, real=True) == pair, name
+        assert strategy_targets(name, real=False) == ({solo} if solo else pair), name
+    # the product rules reach the anchors with every channel bit 0, input bit either
+    for name in ("ghz-plus", "h-plus", "ghz-minus", "h-minus"):
+        sign = "Minus" if name.endswith("minus") else "Plus"
+        assert nparty_bell_targets(name, 3) == STRATEGY_TABLE[name][2]
+        for parties in range(4, 7):
+            assert nparty_bell_targets(name, parties) == {
+                f"S{'0' * parties}{sign}", f"S1{'0' * (parties - 1)}{sign}"}
+    for name in ("phi-plus", "z-plus", "g-minus"):
+        with pytest.raises(ValueError, match="has no many-party generalisation"):
+            nparty_bell_targets(name, 4)
 
 
 def test_protocol1_strategy_pair_hits_unity(rng):
